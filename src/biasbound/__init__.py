@@ -30,6 +30,6 @@ from .simulate import (ArgMax, ArgMin, CustomIID, ExperimentResult,
                        SoftMax, SweepRow, TopKUniform,
                        extreme_norming_constant, frechet_mean,
                        heavy_tail_beta_norm, norming_constant, run_experiment,
-                       sample, sweep_to_csv, tightness_sweep)
+                       sweep_to_csv, tightness_sweep)
 
 __version__ = "0.1.0"

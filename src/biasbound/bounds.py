@@ -184,8 +184,10 @@ def max_inequality_cgf_bound(envelopes: Sequence[CgfEnvelope], n: int) -> float:
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _PointwiseMax(list(envelopes)).inverse_conjugate_numeric(math.log(n)) \
-        if len(list(envelopes)) > 1 else list(envelopes)[0].inverse_conjugate(math.log(n))
+    envelopes = list(envelopes)
+    if len(envelopes) == 1:
+        return envelopes[0].inverse_conjugate(math.log(n))
+    return _PointwiseMax(envelopes).inverse_conjugate_numeric(math.log(n))
 
 
 def max_inequality_pnorm_bound(sigma_max: float, beta: float, n: int) -> float:

@@ -175,6 +175,7 @@ class SubGaussian(CgfEnvelope):
     """psi(lam) = lam^2 sigma^2 / 2 on [0, inf)."""
 
     sigma: float
+    family = "gaussian"  # names the report's mgf_<family> bound
 
     def __post_init__(self):
         if not self.sigma > 0:
@@ -249,6 +250,7 @@ class SubGamma(CgfEnvelope):
 
     sigma2: float
     c: float
+    family = "subgamma"  # names the report's mgf_<family> bound
 
     def __post_init__(self):
         if not self.sigma2 > 0:

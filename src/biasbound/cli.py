@@ -2,8 +2,10 @@
 
 Options may come from flags or from a flat ``key = value`` config file
 (``--config``); explicit flags win over the file, the file wins over
-defaults.  Exit codes: 0 success, 2 configuration/validation error
-(line-anchored for config files), 3 numeric divergence.
+defaults.  Each option is declared once, as a ``RunConfig`` field; the
+config keys and the subcommand parsers are generated from those fields.
+Exit codes: 0 success, 2 configuration/validation error (line-anchored for
+config files), 3 numeric divergence.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -53,86 +55,97 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
-# key -> (parse, serialize); every config key and CLI option lives here
-_KEY_TYPES = {
-    "seed": (int, str),
-    "out": (str, str),
-    "format": (str, str),
-    "family": (str, str),
-    "sigma": (_parse_floats, lambda v: ",".join(repr(float(x)) for x in v)),
-    "sigma2": (float, lambda v: repr(float(v))),
-    "c": (float, lambda v: repr(float(v))),
-    "b": (float, lambda v: repr(float(v))),
-    "beta": (float, lambda v: repr(float(v))),
-    "info": (float, lambda v: repr(float(v))),
-    "i_alpha": (float, lambda v: repr(float(v))),
-    "n": (int, str),
-    "uniform": (_parse_bool, lambda v: "true" if v else "false"),
-    "p_t": (str, str),
-    "joint": (str, str),
-    "envelope": (str, str),
-    "model": (str, str),
-    "mu": (float, lambda v: repr(float(v))),
-    "rate": (float, lambda v: repr(float(v))),
-    "x0": (float, lambda v: repr(float(v))),
-    "rule": (str, str),
-    "trials": (int, str),
-    "bins": (int, str),
-    "probe": (int, str),
-    "alphas": (_parse_floats, lambda v: ",".join(repr(float(x)) for x in v)),
-    "workers": (int, str),
-    "n_list": (_parse_ints, lambda v: ",".join(str(int(x)) for x in v)),
-    "data": (str, str),
-    "psi": (str, str),
+# value kinds: (parse, serialize); parse is also the flag's argparse type
+_INT = (int, str)
+_STR = (str, str)
+_FLOAT = (float, lambda v: repr(float(v)))
+_FLOATS = (_parse_floats, lambda v: ",".join(repr(float(x)) for x in v))
+_INTS = (_parse_ints, lambda v: ",".join(str(int(x)) for x in v))
+_BOOL = (_parse_bool, lambda v: "true" if v else "false")
+
+_COMMANDS = {
+    "bound": "evaluate closed-form / numeric bias bounds",
+    "simulate": "run a seeded selection experiment",
+    "sweep": "argmax tightness sweep across sample sizes",
+    "estimate": "dependence measures of a joint CSV",
+    "norms": "Orlicz norms of a weighted sample CSV",
 }
+_ALL = tuple(_COMMANDS)
+_TAIL = ("bound", "simulate", "sweep")  # tail parameters of bounds and models
+_SIM = ("simulate", "sweep")  # model and sampling options
+
+# --model and --rule names; the dataclass defaults are the CLI defaults
+_MODELS = {"gaussian": sim.GaussianIID, "exponential": sim.ExponentialIID,
+           "heavytail": sim.HeavyTailIID}
+_RULES = {"argmax": sim.ArgMax, "argmin": sim.ArgMin, "fixed": sim.FixedIndex,
+          "topk": sim.TopKUniform, "softmax": sim.SoftMax}
+
+
+def _option(kind, commands, *flags, **argparse_extras):
+    """A RunConfig field: its value kind, the subcommands that take it, its
+    flags (default ``--name`` with dashes) and extra ``add_argument`` keywords."""
+    return field(default=None, metadata={"kind": kind, "commands": commands,
+                                         "flags": flags, "extras": argparse_extras})
 
 
 @dataclass
 class RunConfig:
-    """Typed option bag shared by the config file and the CLI flags."""
+    """Typed option bag shared by the config file and the CLI flags.
 
-    seed: Optional[int] = None
-    out: Optional[str] = None
-    format: Optional[str] = None
-    family: Optional[str] = None
-    sigma: Optional[List[float]] = None
-    sigma2: Optional[float] = None
-    c: Optional[float] = None
-    b: Optional[float] = None
-    beta: Optional[float] = None
-    info: Optional[float] = None
-    i_alpha: Optional[float] = None
-    n: Optional[int] = None
-    uniform: Optional[bool] = None
-    p_t: Optional[str] = None
-    joint: Optional[str] = None
-    envelope: Optional[str] = None
-    model: Optional[str] = None
-    mu: Optional[float] = None
-    rate: Optional[float] = None
-    x0: Optional[float] = None
-    rule: Optional[str] = None
-    trials: Optional[int] = None
-    bins: Optional[int] = None
-    probe: Optional[int] = None
-    alphas: Optional[List[float]] = None
-    workers: Optional[int] = None
-    n_list: Optional[List[int]] = None
-    data: Optional[str] = None
-    psi: Optional[str] = None
+    Each field is one option; its name is the config key.
+    """
+
+    seed: Optional[int] = _option(_INT, _ALL)
+    out: Optional[str] = _option(_STR, _ALL, help="output path (default: stdout)")
+    format: Optional[str] = _option(_STR, _ALL, choices=["json", "csv"])
+    family: Optional[str] = _option(_STR, ("bound",), choices=[
+        "gaussian", "subgamma", "subexponential", "pnorm", "tabulated"])
+    sigma: Optional[List[float]] = _option(_FLOATS, _TAIL,
+                                           help="sigma value or comma-separated list")
+    sigma2: Optional[float] = _option(_FLOAT, ("bound",))
+    c: Optional[float] = _option(_FLOAT, _TAIL)
+    b: Optional[float] = _option(_FLOAT, ("bound",))
+    beta: Optional[float] = _option(_FLOAT, _TAIL)
+    info: Optional[float] = _option(_FLOAT, ("bound",), "--I", "--info",
+                                    help="information budget in nats")
+    i_alpha: Optional[float] = _option(_FLOAT, ("bound",))
+    n: Optional[int] = _option(_INT, ("bound", "simulate"))
+    uniform: Optional[bool] = _option(_BOOL, ("bound",), action="store_true",
+                                      help="marginal-free bound over all joints on n cells")
+    p_t: Optional[str] = _option(_STR, ("bound",),
+                                 help="CSV file with the selection marginal")
+    joint: Optional[str] = _option(_STR, ("bound", "estimate"), help=(
+        "joint CSV; for bound, supplies I and I_alpha when not given"))
+    envelope: Optional[str] = _option(_STR, ("bound",), help="tabulated envelope CSV")
+    model: Optional[str] = _option(_STR, _SIM, choices=list(_MODELS))
+    mu: Optional[float] = _option(_FLOAT, _SIM)
+    rate: Optional[float] = _option(_FLOAT, _SIM)
+    x0: Optional[float] = _option(_FLOAT, _SIM)
+    rule: Optional[str] = _option(_STR, ("simulate",),
+                                  help="argmax | argmin | fixed:IDX | topk:K | softmax:TEMP")
+    trials: Optional[int] = _option(_INT, _SIM)
+    bins: Optional[int] = _option(_INT, ("simulate",))
+    probe: Optional[int] = _option(_INT, ("simulate",))
+    alphas: Optional[List[float]] = _option(_FLOATS, ("simulate", "estimate"))
+    workers: Optional[int] = _option(_INT, _SIM)
+    n_list: Optional[List[int]] = _option(_INTS, ("sweep",),
+                                          help="comma-separated sample sizes")
+    data: Optional[str] = _option(_STR, ("norms",), help=(
+        "CSV with column 'value' and optional 'weight'"))
+    psi: Optional[str] = _option(_STR, ("norms",), help="power:P | scaled:P | exp")
 
     def to_text(self) -> str:
         """Serialize the non-empty options as ``key = value`` lines."""
         lines = []
         for f in fields(self):
             v = getattr(self, f.name)
-            if v is None:
-                continue
-            lines.append(f"{f.name} = {_KEY_TYPES[f.name][1](v)}")
+            if v is not None:
+                lines.append(f"{f.name} = {f.metadata['kind'][1](v)}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str, source: str = "<config>") -> "RunConfig":
+        kinds = {f.name: f.metadata["kind"] for f in fields(cls)}
         cfg = cls()
         for i, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -143,10 +156,10 @@ class RunConfig:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in _KEY_TYPES:
+            if key not in kinds:
                 raise ConfigError(f"{source}: line {i}: unknown key {key!r}")
             try:
-                setattr(cfg, key, _KEY_TYPES[key][0](value))
+                setattr(cfg, key, kinds[key][0](value))
             except ValueError as exc:
                 raise ConfigError(f"{source}: line {i}: invalid value for {key!r}: {exc}")
         return cfg
@@ -169,93 +182,26 @@ class RunConfig:
         return out
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--format", choices=["json", "csv"], default=None)
-    p.add_argument("--config", default=None, help="flat key = value config file")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="biasbound",
         description="Bias bounds for adaptive data exploration, with Monte Carlo checks.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bound", help="evaluate closed-form / numeric bias bounds")
-    _add_common(p)
-    p.add_argument("--family", choices=["gaussian", "subgamma", "subexponential",
-                                        "pnorm", "tabulated"], default=None)
-    p.add_argument("--sigma", type=_parse_floats, default=None,
-                   help="sigma value or comma-separated list")
-    p.add_argument("--sigma2", type=float, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--I", "--info", dest="info", type=float, default=None,
-                   help="information budget in nats")
-    p.add_argument("--i-alpha", dest="i_alpha", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--uniform", action="store_true", default=None,
-                   help="marginal-free bound over all joints on n cells")
-    p.add_argument("--p-t", dest="p_t", default=None,
-                   help="CSV file with the selection marginal")
-    p.add_argument("--joint", default=None,
-                   help="joint CSV; supplies I and I_alpha when not given")
-    p.add_argument("--envelope", default=None, help="tabulated envelope CSV")
-
-    p = sub.add_parser("simulate", help="run a seeded selection experiment")
-    _add_common(p)
-    p.add_argument("--model", choices=["gaussian", "exponential", "heavytail"],
-                   default=None)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--sigma", type=_parse_floats, default=None)
-    p.add_argument("--rate", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--x0", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--rule", default=None,
-                   help="argmax | argmin | fixed:IDX | topk:K | softmax:TEMP")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--bins", type=int, default=None)
-    p.add_argument("--probe", type=int, default=None)
-    p.add_argument("--alphas", type=_parse_floats, default=None)
-    p.add_argument("--workers", type=int, default=None)
-
-    p = sub.add_parser("sweep", help="argmax tightness sweep across sample sizes")
-    _add_common(p)
-    p.add_argument("--model", choices=["gaussian", "exponential", "heavytail"],
-                   default=None)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--sigma", type=_parse_floats, default=None)
-    p.add_argument("--rate", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--x0", type=float, default=None)
-    p.add_argument("--n-list", dest="n_list", type=_parse_ints, default=None,
-                   help="comma-separated sample sizes")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
-
-    p = sub.add_parser("estimate", help="dependence measures of a joint CSV")
-    _add_common(p)
-    p.add_argument("--joint", default=None)
-    p.add_argument("--alphas", type=_parse_floats, default=None)
-
-    p = sub.add_parser("norms", help="Orlicz norms of a weighted sample CSV")
-    _add_common(p)
-    p.add_argument("--data", default=None,
-                   help="CSV with column 'value' and optional 'weight'")
-    p.add_argument("--psi", default=None, help="power:P | scaled:P | exp")
+    parsers = {name: sub.add_parser(name, help=text) for name, text in _COMMANDS.items()}
+    for p in parsers.values():
+        p.add_argument("--config", default=None, help="flat key = value config file")
+    for f in fields(RunConfig):
+        flags = f.metadata["flags"] or ("--" + f.name.replace("_", "-"),)
+        extras = dict(f.metadata["extras"])
+        if "action" not in extras:
+            extras["type"] = f.metadata["kind"][0]
+        for command in f.metadata["commands"]:
+            parsers[command].add_argument(*flags, dest=f.name, default=None, **extras)
     return ap
 
 
 def _resolve(ns: argparse.Namespace) -> RunConfig:
-    cli_cfg = RunConfig()
-    for f in fields(RunConfig):
-        if hasattr(ns, f.name):
-            setattr(cli_cfg, f.name, getattr(ns, f.name))
+    cli_cfg = RunConfig(**{f.name: getattr(ns, f.name, None) for f in fields(RunConfig)})
     base = RunConfig()
     if getattr(ns, "config", None):
         base = RunConfig.from_file(ns.config)
@@ -266,19 +212,16 @@ def _resolve(ns: argparse.Namespace) -> RunConfig:
 
 
 def _parse_rule(spec: str):
+    """NAME or NAME:ARG; ARG, read as the type of the rule's parameter
+    default, replaces that default."""
     name, _, arg = spec.partition(":")
-    name = name.strip().lower()
-    if name == "argmax":
-        return sim.ArgMax()
-    if name == "argmin":
-        return sim.ArgMin()
-    if name == "fixed":
-        return sim.FixedIndex(int(arg or 0))
-    if name == "topk":
-        return sim.TopKUniform(int(arg or 2))
-    if name == "softmax":
-        return sim.SoftMax(float(arg or 1.0))
-    raise ConfigError(f"unknown rule {spec!r}")
+    rule = _RULES.get(name.strip().lower())
+    if rule is None:
+        raise ConfigError(f"unknown rule {spec!r}")
+    params = fields(rule)
+    if not (arg and params):
+        return rule()
+    return rule(type(params[0].default)(arg))
 
 
 def _parse_psi(spec: str) -> orz.OrliczFunction:
@@ -297,22 +240,21 @@ def _parse_psi(spec: str) -> orz.OrliczFunction:
 
 
 def _build_model(cfg: RunConfig):
+    """The --model class, given the options named like its fields."""
     name = cfg.model or "gaussian"
-    n = cfg.n if cfg.n is not None else 10
+    if name not in _MODELS:
+        raise ConfigError(f"unknown model {name!r}")
+    params = {}
+    for f in fields(_MODELS[name]):
+        v = getattr(cfg, f.name)
+        if isinstance(v, list):  # --sigma is a list; models take its first value
+            v = v[0] if v else None
+        if v is not None:
+            params[f.name] = v
     try:
-        if name == "gaussian":
-            sigma = (cfg.sigma or [1.0])[0]
-            return sim.GaussianIID(mu=cfg.mu or 0.0, sigma=sigma, n=n)
-        if name == "exponential":
-            return sim.ExponentialIID(rate=cfg.rate if cfg.rate is not None else 1.0, n=n)
-        if name == "heavytail":
-            return sim.HeavyTailIID(
-                beta=cfg.beta if cfg.beta is not None else 3.0,
-                c=cfg.c if cfg.c is not None else 2.0,
-                x0=cfg.x0 if cfg.x0 is not None else math.e, n=n)
+        return _MODELS[name](**params)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    raise ConfigError(f"unknown model {name!r}")
 
 
 def _load_joint_dependence(cfg: RunConfig, alpha: float):
@@ -328,6 +270,13 @@ def _require(cfg: RunConfig, *names: str) -> None:
 
 def cmd_bound(cfg: RunConfig) -> bnd.BoundReport:
     _require(cfg, "family")
+    try:
+        return _bound_report(cfg)
+    except (OSError, ValueError) as exc:  # unreadable input file or invalid value
+        raise ConfigError(str(exc))
+
+
+def _bound_report(cfg: RunConfig) -> bnd.BoundReport:
     report = bnd.BoundReport(meta={"command": "bound", "family": cfg.family,
                                    "seed": cfg.seed})
     p_t = dv.load_probability_vector(cfg.p_t) if cfg.p_t else None
@@ -340,10 +289,7 @@ def cmd_bound(cfg: RunConfig) -> bnd.BoundReport:
         report.meta["alpha"] = alpha
         if cfg.uniform:
             _require(cfg, "n")
-            try:
-                ub = bnd.pnorm_uniform_bound(cfg.sigma, cfg.beta, cfg.n, p_t)
-            except ValueError as exc:
-                raise ConfigError(str(exc))
+            ub = bnd.pnorm_uniform_bound(cfg.sigma, cfg.beta, cfg.n, p_t)
             report.meta["n"] = cfg.n
             report.add_bound("pnorm_uniform", ub.value)
             report.add_bound("pnorm_uniform_loose", ub.loose)
@@ -354,10 +300,7 @@ def cmd_bound(cfg: RunConfig) -> bnd.BoundReport:
             i_val, i_alpha = _load_joint_dependence(cfg, alpha)
         if i_alpha is None:
             raise ConfigError("pnorm bound needs --i-alpha, --joint, or --uniform")
-        try:
-            value = bnd.pnorm_bound(cfg.sigma, p_t, cfg.beta, i_alpha)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        value = bnd.pnorm_bound(cfg.sigma, p_t, cfg.beta, i_alpha)
         report.dependence = {"I": i_val, "I_alpha": {f"{alpha:g}": i_alpha}}
         report.add_bound("pnorm", value)
         return report
@@ -373,75 +316,55 @@ def cmd_bound(cfg: RunConfig) -> bnd.BoundReport:
         raise ConfigError("information budget must be nonnegative")
     report.dependence = {"I": i_val,
                          "I_alpha": {} if i_alpha is None else {"2": i_alpha}}
-    try:
-        if family == "gaussian":
-            _require(cfg, "sigma")
-            report.add_bound("gaussian",
-                             bnd.gaussian_bound(cfg.sigma, i_val, p_t), side="upper")
-        elif family == "subgamma":
-            _require(cfg, "sigma2", "c")
-            report.add_bound("subgamma",
-                             bnd.subgamma_bound(cfg.sigma2, cfg.c, i_val), side="upper")
-        elif family == "subexponential":
-            _require(cfg, "sigma", "b")
-            sub = bnd.subexponential_bound(cfg.sigma[0], cfg.b, i_val)
-            report.add_bound("subexponential", sub.canonical, side="upper")
-            report.add_bound("subexponential_piecewise", sub.piecewise, side="upper")
-        elif family == "tabulated":
-            _require(cfg, "envelope")
-            env = Tabulated.from_csv(cfg.envelope)
-            report.add_bound("mgf_tabulated", env.inverse_conjugate(i_val),
-                             side="upper")
-        else:  # pragma: no cover - argparse restricts choices
-            raise ConfigError(f"unknown family {family!r}")
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    if family == "gaussian":
+        _require(cfg, "sigma")
+        report.add_bound("gaussian",
+                         bnd.gaussian_bound(cfg.sigma, i_val, p_t), side="upper")
+    elif family == "subgamma":
+        _require(cfg, "sigma2", "c")
+        report.add_bound("subgamma",
+                         bnd.subgamma_bound(cfg.sigma2, cfg.c, i_val), side="upper")
+    elif family == "subexponential":
+        _require(cfg, "sigma", "b")
+        sub = bnd.subexponential_bound(cfg.sigma[0], cfg.b, i_val)
+        report.add_bound("subexponential", sub.canonical, side="upper")
+        report.add_bound("subexponential_piecewise", sub.piecewise, side="upper")
+    elif family == "tabulated":
+        _require(cfg, "envelope")
+        env = Tabulated.from_csv(cfg.envelope)
+        report.add_bound("mgf_tabulated", env.inverse_conjugate(i_val), side="upper")
+    else:  # a config file can name any family
+        raise ConfigError(f"unknown family {family!r}")
     return report
 
 
 def _simulation_bounds(report: bnd.BoundReport, model, rule,
                        res: sim.ExperimentResult) -> None:
-    i_val = res.best_i()
+    """MGF bounds from the model's CGF envelope when it has one, moment
+    bounds from its moment cap, and the matching expected-max baseline."""
     i_alpha = res.best_i_alpha()
     n = model.n
-    argmaxish = isinstance(rule, (sim.ArgMax, sim.ArgMin))
-
-    if isinstance(model, sim.GaussianIID):
-        report.add_bound("mgf_gaussian", bnd.gaussian_bound(model.sigma, i_val),
+    beta, sigma = model.moment_cap
+    env = model.cgf_envelope
+    if env is not None:
+        report.add_bound(f"mgf_{env.family}", env.inverse_conjugate(res.best_i()),
                          side="upper")
-        if "2" in i_alpha:
-            report.add_bound("pnorm", bnd.pnorm_bound(
-                model.sigma, None, 2.0, i_alpha["2"]))
-        report.add_bound("pnorm_uniform",
-                         bnd.pnorm_uniform_bound(model.sigma, 2.0, n).value)
-        if argmaxish:
-            report.add_bound("max_cgf", bnd.max_inequality_cgf_bound(
-                [model.cgf_envelope], n), side="expected_max")
-    elif isinstance(model, sim.ExponentialIID):
-        env = model.cgf_envelope
-        report.add_bound("mgf_subgamma", env.inverse_conjugate(i_val), side="upper")
-        sd = 1.0 / model.rate
-        if "2" in i_alpha:
-            report.add_bound("pnorm", bnd.pnorm_bound(sd, None, 2.0, i_alpha["2"]))
-        report.add_bound("pnorm_uniform", bnd.pnorm_uniform_bound(sd, 2.0, n).value)
-        if argmaxish:
+    else:
+        report.meta["beta_norm_uncentered"] = sigma
+    key = f"{bnd.conjugate_exponent(beta):g}"
+    if key in i_alpha:
+        report.add_bound("pnorm", bnd.pnorm_bound(sigma, None, beta, i_alpha[key]))
+    if beta >= 2:
+        ub = bnd.pnorm_uniform_bound(sigma, beta, n)
+        report.add_bound("pnorm_uniform", ub.value)
+        if env is None:
+            report.add_bound("pnorm_uniform_loose", ub.loose)
+    if isinstance(rule, (sim.ArgMax, sim.ArgMin)):
+        if env is not None:
             report.add_bound("max_cgf", bnd.max_inequality_cgf_bound([env], n),
                              side="expected_max")
-    elif isinstance(model, sim.HeavyTailIID):
-        beta = model.beta
-        alpha = bnd.conjugate_exponent(beta)
-        norm = sim.heavy_tail_beta_norm(model)
-        report.meta["beta_norm_uncentered"] = norm
-        key = f"{alpha:g}"
-        if key in i_alpha:
-            report.add_bound("pnorm", bnd.pnorm_bound(norm, None, beta, i_alpha[key]))
-        if beta >= 2:
-            ub = bnd.pnorm_uniform_bound(norm, beta, n)
-            report.add_bound("pnorm_uniform", ub.value)
-            report.add_bound("pnorm_uniform_loose", ub.loose)
-        if argmaxish:
-            report.add_bound("max_beta",
-                             bnd.max_inequality_pnorm_bound(norm, beta, n),
+        else:
+            report.add_bound("max_beta", bnd.max_inequality_pnorm_bound(sigma, beta, n),
                              side="expected_max")
 
 
@@ -452,10 +375,8 @@ def cmd_simulate(cfg: RunConfig) -> bnd.BoundReport:
     except ValueError as exc:
         raise ConfigError(str(exc))
     alphas = list(cfg.alphas or [])
-    if 2.0 not in alphas:
-        alphas.append(2.0)
-    if isinstance(model, sim.HeavyTailIID):
-        a = bnd.conjugate_exponent(model.beta)
+    # I_2 and the I_alpha that the moment cap's conjugate exponent consumes
+    for a in (2.0, bnd.conjugate_exponent(model.moment_cap[0])):
         if a not in alphas:
             alphas.append(a)
     trials = cfg.trials if cfg.trials is not None else 10000
@@ -569,39 +490,32 @@ def _emit(text: str, cfg: RunConfig) -> None:
         sys.stdout.write(text)
 
 
+def _json_text(payload) -> str:
+    return json.dumps(bnd._json_safe(payload), indent=2) + "\n"
+
+
 def main(argv=None) -> int:
-    ap = _build_parser()
-    ns = ap.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     try:
         cfg = _resolve(ns)
-        fmt = cfg.format
-        if ns.command == "bound":
-            report = cmd_bound(cfg)
-            _emit(report.to_csv() if fmt == "csv" else report.to_json(), cfg)
-        elif ns.command == "simulate":
-            report = cmd_simulate(cfg)
-            _emit(report.to_csv() if fmt == "csv" else report.to_json(), cfg)
+        divergent = False
+        if ns.command in ("bound", "simulate"):
+            report = cmd_bound(cfg) if ns.command == "bound" else cmd_simulate(cfg)
+            text = report.to_csv() if cfg.format == "csv" else report.to_json()
         elif ns.command == "sweep":
             model, rows = cmd_sweep(cfg)
-            if fmt == "json":
-                payload = bnd._json_safe({
-                    "meta": {"command": "sweep", "model": model.label,
-                             "seed": cfg.seed},
-                    "rows": [vars(r) for r in rows]})
-                _emit(json.dumps(payload, indent=2) + "\n", cfg)
-            else:
-                _emit(sim.sweep_to_csv(rows), cfg)
+            text = sim.sweep_to_csv(rows) if cfg.format != "json" else _json_text({
+                "meta": {"command": "sweep", "model": model.label, "seed": cfg.seed},
+                "rows": [vars(r) for r in rows]})
         elif ns.command == "estimate":
-            payload = cmd_estimate(cfg)
-            _emit(json.dumps(bnd._json_safe(payload), indent=2) + "\n", cfg)
-        elif ns.command == "norms":
+            text = _json_text(cmd_estimate(cfg))
+        else:
             payload = cmd_norms(cfg)
-            _emit(json.dumps(bnd._json_safe(payload), indent=2) + "\n", cfg)
-            if payload["divergent"]:
-                print("error: norm diverged over the search range", file=sys.stderr)
-                return 3
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown command {ns.command!r}")
+            text, divergent = _json_text(payload), payload["divergent"]
+        _emit(text, cfg)
+        if divergent:
+            print("error: norm diverged over the search range", file=sys.stderr)
+            return 3
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

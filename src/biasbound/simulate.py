@@ -38,7 +38,6 @@ __all__ = [
     "FixedIndex",
     "TopKUniform",
     "SoftMax",
-    "sample",
     "run_experiment",
     "ExperimentResult",
     "extreme_norming_constant",
@@ -85,6 +84,11 @@ class GaussianIID:
         return SubGaussian(self.sigma)
 
     @property
+    def moment_cap(self) -> Tuple[float, float]:
+        """(beta, sigma) with ||X - mean||_beta <= sigma."""
+        return 2.0, self.sigma
+
+    @property
     def label(self) -> str:
         return f"gaussian(mu={self.mu:g},sigma={self.sigma:g})"
 
@@ -115,6 +119,11 @@ class ExponentialIID:
     def cgf_envelope(self) -> CgfEnvelope:
         # centered exponential is sub-gamma with variance 1/rate^2, scale 1/rate
         return SubGamma(1.0 / self.rate ** 2, 1.0 / self.rate)
+
+    @property
+    def moment_cap(self) -> Tuple[float, float]:
+        """(beta, sigma) with ||X - mean||_beta <= sigma."""
+        return 2.0, 1.0 / self.rate
 
     @property
     def label(self) -> str:
@@ -206,6 +215,12 @@ class HeavyTailIID:
     @property
     def cgf_envelope(self) -> Optional[CgfEnvelope]:
         return None  # polynomial tail: no finite exponential moment
+
+    @cached_property
+    def moment_cap(self) -> Tuple[float, float]:
+        """(beta, ||X||_beta): the uncentered norm caps ||X - mean||_beta
+        because |X - mean| <= X holds whenever mean <= 2 * x0."""
+        return self.beta, heavy_tail_beta_norm(self)
 
     @property
     def label(self) -> str:
@@ -361,11 +376,6 @@ class SoftMax:
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, trial]))
-
-
-def sample(model, rng: np.random.Generator) -> np.ndarray:
-    """One draw of the model's n coordinates via the inverse-CDF transform."""
-    return model.inverse_cdf(rng.random(model.n))
 
 
 @dataclass(eq=False)

@@ -148,6 +148,11 @@ def test_max_inequality_bounds():
     # pointwise max of two envelopes dominates each single-envelope bound
     both = max_inequality_cgf_bound([SubGaussian(1.0), SubGaussian(2.0)], 8)
     assert both >= max_inequality_cgf_bound([SubGaussian(2.0)], 8) - 1e-9
+    # any iterable is read once; an empty one is a ValueError
+    assert max_inequality_cgf_bound(iter([SubGaussian(1.0)]), 8) == \
+        max_inequality_cgf_bound([SubGaussian(1.0)], 8)
+    with pytest.raises(ValueError):
+        max_inequality_cgf_bound([], 8)
     assert max_inequality_pnorm_bound(2.0, 3.0, 8) == pytest.approx(2 * 2.0)
     assert max_inequality_pnorm_bound(2.0, math.inf, 9) == 2.0
     assert max_inequality_orlicz_bound(1.5, power_orlicz(2.0), 9) == pytest.approx(

@@ -1,12 +1,16 @@
+import argparse
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from biasbound import (DiscreteJoint, GaussianIID, ArgMax, gaussian_bound,
+from biasbound import (DiscreteJoint, ExponentialIID, FixedIndex, GaussianIID,
+                       ArgMax, HeavyTailIID, SoftMax, TopKUniform, gaussian_bound,
                        run_experiment, save_probability_vector)
-from biasbound.cli import ConfigError, RunConfig, main
+from biasbound.cli import (ConfigError, RunConfig, _build_model, _build_parser,
+                           _parse_rule, main)
 
 
 def run_cli(capsys, argv):
@@ -95,6 +99,76 @@ def test_cli_flags_override_config_file(tmp_path, capsys):
     assert bound_map(got)["gaussian"]["value"] == pytest.approx(1.0)
 
 
+# ---------------------------------------------------------------- parser surface
+
+_COMMON = {"help": (["-h", "--help"], None), "seed": (["--seed"], None),
+           "out": (["--out"], None), "format": (["--format"], ["json", "csv"]),
+           "config": (["--config"], None)}
+_MODEL_FLAGS = {"model": (["--model"], ["gaussian", "exponential", "heavytail"]),
+                "mu": (["--mu"], None), "sigma": (["--sigma"], None),
+                "rate": (["--rate"], None), "beta": (["--beta"], None),
+                "c": (["--c"], None), "x0": (["--x0"], None)}
+# dest -> (option strings, choices) per subcommand, as first released
+PARSER_SURFACE = {
+    "bound": {**_COMMON,
+              "family": (["--family"], ["gaussian", "subgamma", "subexponential",
+                                        "pnorm", "tabulated"]),
+              "sigma": (["--sigma"], None), "sigma2": (["--sigma2"], None),
+              "c": (["--c"], None), "b": (["--b"], None), "beta": (["--beta"], None),
+              "info": (["--I", "--info"], None), "i_alpha": (["--i-alpha"], None),
+              "n": (["--n"], None), "uniform": (["--uniform"], None),
+              "p_t": (["--p-t"], None), "joint": (["--joint"], None),
+              "envelope": (["--envelope"], None)},
+    "simulate": {**_COMMON, **_MODEL_FLAGS, "n": (["--n"], None),
+                 "rule": (["--rule"], None), "trials": (["--trials"], None),
+                 "bins": (["--bins"], None), "probe": (["--probe"], None),
+                 "alphas": (["--alphas"], None), "workers": (["--workers"], None)},
+    "sweep": {**_COMMON, **_MODEL_FLAGS, "n_list": (["--n-list"], None),
+              "trials": (["--trials"], None), "workers": (["--workers"], None)},
+    "estimate": {**_COMMON, "joint": (["--joint"], None),
+                 "alphas": (["--alphas"], None)},
+    "norms": {**_COMMON, "data": (["--data"], None), "psi": (["--psi"], None)},
+}
+
+
+def test_parser_surface_frozen():
+    ap = _build_parser()
+    subparsers = next(a for a in ap._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(subparsers) == list(PARSER_SURFACE)
+    dests = set()
+    for command, p in subparsers.items():
+        got = {a.dest: (a.option_strings, None if a.choices is None else list(a.choices))
+               for a in p._actions}
+        assert got == PARSER_SURFACE[command], command
+        dests |= set(got)
+    names = {f.name for f in fields(RunConfig)}
+    assert names == dests - {"help", "config"}
+    # the config keys are exactly the fields
+    cfg = RunConfig.from_text("".join(f"{name} = 1\n" for name in sorted(names)))
+    assert all(getattr(cfg, name) is not None for name in names)
+    with pytest.raises(ConfigError, match="unknown key 'config'"):
+        RunConfig.from_text("config = other.cfg\n")
+    assert _build_parser().parse_args(["bound", "--uniform"]).uniform is True
+
+
+def test_rule_and_model_defaults():
+    assert _parse_rule("fixed:") == FixedIndex(0)
+    assert _parse_rule("topk:") == TopKUniform(2)
+    assert _parse_rule("softmax:") == SoftMax(1.0)
+    assert _parse_rule("argmax:7") == ArgMax()
+    assert _parse_rule("TopK:3") == TopKUniform(3)
+    assert _build_model(RunConfig()) == GaussianIID(mu=0.0, sigma=1.0, n=10)
+    assert _build_model(RunConfig(model="heavytail")) == HeavyTailIID(
+        beta=3.0, c=2.0, x0=math.e, n=10)
+    # options of other models are ignored; --sigma contributes its first value
+    assert _build_model(RunConfig(model="exponential", sigma=[5.0], rate=2.0, n=3)) \
+        == ExponentialIID(rate=2.0, n=3)
+    assert _build_model(RunConfig(sigma=[2.0, 3.0], rate=9.0)) == GaussianIID(sigma=2.0)
+    with pytest.raises(ConfigError, match="unknown model 'bogus'"):
+        _build_model(RunConfig(model="bogus"))
+
+
 # ---------------------------------------------------------------- bound
 
 
@@ -165,7 +239,7 @@ def test_bound_with_selection_marginal(tmp_path, capsys):
     assert bound_map(got)["gaussian"]["value"] == pytest.approx(want, rel=1e-12)
 
 
-def test_bound_missing_options_exit_2(capsys):
+def test_bound_missing_options_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["bound", "--family", "gaussian", "--sigma", "1"])
     assert code == 2
     assert "needs --I or --joint" in err
@@ -177,6 +251,17 @@ def test_bound_missing_options_exit_2(capsys):
                                     "--sigma", "1", "--I", "-0.5"])
     assert code == 2
     assert "nonnegative" in err
+    missing = str(tmp_path / "missing.csv")
+    for argv in (["--family", "pnorm", "--beta", "2", "--sigma", "1", "--joint", missing],
+                 ["--family", "gaussian", "--sigma", "1", "--I", "1", "--p-t", missing],
+                 ["--family", "tabulated", "--I", "1", "--envelope", missing]):
+        code, _, err = run_cli(capsys, ["bound"] + argv)
+        assert code == 2
+        assert err.startswith("error: ") and "No such file" in err
+    code, _, err = run_cli(capsys, ["bound", "--family", "pnorm", "--beta", "0.5",
+                                    "--sigma", "1", "--i-alpha", "1"])
+    assert code == 2
+    assert err == "error: beta must be > 1\n"
 
 
 def test_bad_config_file_exit_2(tmp_path, capsys):

@@ -1,0 +1,175 @@
+"""Fingerprint the command line over a fixed corpus of invocations.
+
+    python3 tools/cli_corpus.py [--src DIR]
+
+Each invocation runs as ``python -m biasbound.cli ...`` in a fresh process
+with DIR (default: this checkout's ``src/``) first on ``PYTHONPATH``.  One
+line is printed per invocation: its label, the exit code, and the sha256 of
+stdout and of stderr.  Input files live in a temporary directory; its path
+and DIR are replaced by ``<tmp>`` and ``<src>`` before hashing, so two
+checkouts are compared by running the script once against each ``src/`` and
+diffing the output.
+
+The corpus covers every subcommand, every model with every rule,
+non-default model, rule and sampling parameters, CSV and JSON output,
+config files, and the exit-2 and exit-3 paths.  Argument-parser errors are
+left out on purpose: their usage line lists options in declaration order,
+which is not part of the interface.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+FILES = {
+    "joint.csv": ",b0,b1\nt0,0.5,0.0\nt1,0.0,0.5\n",
+    "indep.csv": ",b0,b1\nt0,0.18,0.42\nt1,0.12,0.28\n",
+    "bad_joint.csv": ",b0,b1\nt0,0.4,0.0\nt1,0.0,0.5\n",
+    "pt.csv": "p\n0.5\n0.25\n0.25\n",
+    "env.csv": "lambda,psi\n" + "".join(
+        f"{l / 10!r},{(l / 10) ** 2 / 2!r}\n" for l in range(41)),
+    "data.csv": "value\n1.0\n2.5\n0.5\n3.0\n",
+    "weighted.csv": "value,weight\n1.0,0.25\n2.0,0.75\n",
+    "divergent.csv": "value\ninf\n1.0\n",
+    "bad_data.csv": "value\n1.0\nnot-a-number\n",
+    "bound.cfg": "family = gaussian\nsigma = 1.0\ninfo = 0.5\nseed = 4\n",
+    "simulate.cfg": ("model = heavytail  # comment\nn = 7\nrule = topk:2\n"
+                     "trials = 300\nseed = 7\nalphas = 1.25\n"),
+    "sweep.cfg": "model = exponential\nrate = 0.5\nn_list = 5,12\ntrials = 300\n",
+    "bad.cfg": "family = gaussian\nbogus = 1\n",
+}
+
+SIM = ["simulate", "--n", "6", "--trials", "400", "--seed", "3"]
+SWEEP = ["sweep", "--trials", "300", "--seed", "5"]
+
+CORPUS = [
+    # bound
+    ("bound-gaussian", ["bound", "--family", "gaussian", "--sigma", "1", "--I", "0.693"]),
+    ("bound-gaussian-pt", ["bound", "--family", "gaussian", "--sigma", "1,2,3",
+                           "--I", "1", "--p-t", "{tmp}/pt.csv"]),
+    ("bound-gaussian-info-csv", ["bound", "--family", "gaussian", "--sigma", "2",
+                                 "--info", "0.5", "--format", "csv"]),
+    ("bound-gaussian-joint", ["bound", "--family", "gaussian", "--sigma", "1",
+                              "--joint", "{tmp}/joint.csv"]),
+    ("bound-subgamma", ["bound", "--family", "subgamma", "--sigma2", "1", "--c", "0.5",
+                        "--I", "1"]),
+    ("bound-subexponential", ["bound", "--family", "subexponential", "--sigma", "1",
+                              "--b", "2", "--I", "2", "--format", "csv"]),
+    ("bound-tabulated", ["bound", "--family", "tabulated", "--envelope", "{tmp}/env.csv",
+                         "--I", "1"]),
+    ("bound-pnorm-ialpha", ["bound", "--family", "pnorm", "--beta", "3", "--sigma", "1,2",
+                            "--i-alpha", "0.7"]),
+    ("bound-pnorm-joint", ["bound", "--family", "pnorm", "--beta", "2", "--sigma", "1",
+                           "--joint", "{tmp}/joint.csv"]),
+    ("bound-pnorm-uniform", ["bound", "--family", "pnorm", "--beta", "2", "--sigma", "1",
+                             "--uniform", "--n", "5"]),
+    ("bound-pnorm-uniform-beta3", ["bound", "--family", "pnorm", "--beta", "3",
+                                   "--sigma", "1", "--uniform", "--n", "50",
+                                   "--format", "csv"]),
+    ("bound-config", ["bound", "--config", "{tmp}/bound.cfg"]),
+    ("bound-config-override", ["bound", "--config", "{tmp}/bound.cfg", "--I", "2.0"]),
+    ("bound-err-no-family", ["bound", "--sigma", "1"]),
+    ("bound-err-no-info", ["bound", "--family", "gaussian", "--sigma", "1"]),
+    ("bound-err-no-ialpha", ["bound", "--family", "pnorm", "--beta", "2", "--sigma", "1"]),
+    ("bound-err-negative-info", ["bound", "--family", "gaussian", "--sigma", "1",
+                                 "--I", "-0.5"]),
+    ("bound-err-uniform-beta", ["bound", "--family", "pnorm", "--beta", "1.5",
+                                "--sigma", "1", "--uniform", "--n", "5"]),
+    ("bound-err-bad-config", ["bound", "--config", "{tmp}/bad.cfg"]),
+    ("bound-err-missing-config", ["bound", "--config", "{tmp}/missing.cfg"]),
+    ("bound-err-missing-joint", ["bound", "--family", "pnorm", "--beta", "2",
+                                 "--sigma", "1", "--joint", "{tmp}/missing.csv"]),
+    ("bound-err-missing-pt", ["bound", "--family", "gaussian", "--sigma", "1", "--I", "1",
+                              "--p-t", "{tmp}/missing.csv"]),
+    ("bound-err-missing-envelope", ["bound", "--family", "tabulated", "--I", "1",
+                                    "--envelope", "{tmp}/missing.csv"]),
+    ("bound-err-pnorm-beta", ["bound", "--family", "pnorm", "--beta", "0.5",
+                              "--sigma", "1", "--i-alpha", "1"]),
+]
+
+for model in ("gaussian", "exponential", "heavytail"):
+    for rule in ("argmax", "argmin", "fixed:2", "topk:3", "softmax:0.5"):
+        CORPUS.append((f"simulate-{model}-{rule}", SIM + ["--model", model, "--rule", rule]))
+
+CORPUS += [
+    ("simulate-defaults", ["simulate", "--trials", "300"]),
+    ("simulate-rule-defaults-fixed", SIM + ["--rule", "fixed:"]),
+    ("simulate-rule-defaults-topk", SIM + ["--rule", "topk:"]),
+    ("simulate-rule-defaults-softmax", SIM + ["--rule", "softmax:"]),
+    ("simulate-gaussian-params-csv", SIM + ["--model", "gaussian", "--mu", "1.5",
+                                            "--sigma", "2", "--format", "csv"]),
+    ("simulate-exponential-rate", SIM + ["--model", "exponential", "--rate", "2.5",
+                                         "--alphas", "1.5,3", "--bins", "7",
+                                         "--probe", "2"]),
+    ("simulate-heavytail-beta2", SIM + ["--model", "heavytail", "--beta", "2",
+                                        "--c", "1.5", "--x0", "2"]),
+    ("simulate-heavytail-beta2.5", SIM + ["--model", "heavytail", "--beta", "2.5",
+                                          "--rule", "topk:2", "--format", "csv"]),
+    ("simulate-heavytail-beta1.5", SIM + ["--model", "heavytail", "--beta", "1.5",
+                                          "--c", "1.2", "--x0", "2"]),
+    ("simulate-config", ["simulate", "--config", "{tmp}/simulate.cfg"]),
+    ("simulate-config-override", ["simulate", "--config", "{tmp}/simulate.cfg",
+                                  "--rule", "argmin", "--workers", "2"]),
+    ("simulate-err-rule", ["simulate", "--rule", "bogus"]),
+    ("simulate-err-fixed-range", ["simulate", "--rule", "fixed:99", "--n", "4"]),
+    ("simulate-err-topk-zero", ["simulate", "--rule", "topk:0"]),
+    ("simulate-err-model-param", ["simulate", "--model", "heavytail", "--beta", "0.9"]),
+    ("simulate-err-probe", SIM + ["--probe", "6"]),
+    ("sweep-gaussian", SWEEP + ["--model", "gaussian", "--n-list", "20,50"]),
+    ("sweep-exponential-json", SWEEP + ["--model", "exponential", "--rate", "2",
+                                        "--n-list", "10,30", "--format", "json"]),
+    ("sweep-heavytail", SWEEP + ["--model", "heavytail", "--n-list", "15,40"]),
+    ("sweep-heavytail-beta2.5-json", SWEEP + ["--model", "heavytail", "--beta", "2.5",
+                                              "--n-list", "8", "--format", "json"]),
+    ("sweep-default-nlist", ["sweep", "--trials", "100"]),
+    ("sweep-config", ["sweep", "--config", "{tmp}/sweep.cfg"]),
+    ("sweep-err-trials", SWEEP + ["--trials", "0"]),
+    ("estimate-identity", ["estimate", "--joint", "{tmp}/joint.csv", "--alphas", "1.5,2"]),
+    ("estimate-independent", ["estimate", "--joint", "{tmp}/indep.csv"]),
+    ("estimate-err-missing", ["estimate"]),
+    ("estimate-err-invalid", ["estimate", "--joint", "{tmp}/bad_joint.csv"]),
+    ("estimate-err-no-file", ["estimate", "--joint", "{tmp}/missing.csv"]),
+    ("norms-power", ["norms", "--data", "{tmp}/data.csv", "--psi", "power:2"]),
+    ("norms-scaled-weighted", ["norms", "--data", "{tmp}/weighted.csv", "--psi", "scaled:3"]),
+    ("norms-exp", ["norms", "--data", "{tmp}/data.csv", "--psi", "exp"]),
+    ("norms-err-divergent", ["norms", "--data", "{tmp}/divergent.csv", "--psi", "exp"]),
+    ("norms-err-bad-data", ["norms", "--data", "{tmp}/bad_data.csv", "--psi", "power:2"]),
+    ("norms-err-psi", ["norms", "--data", "{tmp}/data.csv", "--psi", "huh"]),
+]
+
+
+def _digest(text: str, tmp: str, src: str) -> str:
+    text = text.replace(tmp, "<tmp>").replace(src, "<src>")
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", default=str(ROOT / "src"),
+                    help="package source directory to run (default: this checkout's src/)")
+    src = str(Path(ap.parse_args().src).resolve())
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in FILES.items():
+            Path(tmp, name).write_text(text)
+        for label, argv in CORPUS:
+            args = [a.replace("{tmp}", tmp) for a in argv]
+            proc = subprocess.run([sys.executable, "-m", "biasbound.cli", *args],
+                                  capture_output=True, text=True, env=env, cwd=tmp)
+            print(f"{label} exit={proc.returncode} "
+                  f"stdout={_digest(proc.stdout, tmp, src)} "
+                  f"stderr={_digest(proc.stderr, tmp, src)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
