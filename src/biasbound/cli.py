@@ -264,7 +264,7 @@ def _load_joint_dependence(cfg: RunConfig, alpha: float):
 
 def _require(cfg: RunConfig, *names: str) -> None:
     for name in names:
-        if getattr(cfg, name) is None:
+        if getattr(cfg, name) in (None, []):  # --sigma "" parses to []
             raise ConfigError(f"missing required option '{name}'")
 
 
@@ -484,8 +484,11 @@ def cmd_norms(cfg: RunConfig) -> Dict:
 
 def _emit(text: str, cfg: RunConfig) -> None:
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(str(exc))
     else:
         sys.stdout.write(text)
 

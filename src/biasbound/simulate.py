@@ -9,7 +9,8 @@ worker count and any subset of trials.
 Rules that depend only on the ordering of coordinates (argmax, argmin,
 fixed, top-k) are applied to the uniforms directly: a strictly increasing
 inverse CDF cannot change which index is selected, so only the selected and
-probe uniforms ever pass through the (possibly expensive) inverse CDF.
+probe uniforms ever pass through the inverse CDF, which is closed-form for
+every built-in model (the heavy-tail one through the Wright omega function).
 """
 
 from __future__ import annotations
@@ -137,7 +138,9 @@ class HeavyTailIID:
     Supported on [x0, inf) with x0 > e^(1/beta); beta > 1 keeps the mean
     finite and c > 1 keeps the beta-th moment finite (barely: the tail sits
     at the integrability edge, which is what makes the moment-route bound
-    nearly tight for argmax selection).
+    nearly tight for argmax selection).  The quantile at survival S solves
+    beta*y + c*ln(y) = ln K0 - ln S for y = ln x (K0 = x0^beta (ln x0)^c):
+    (beta/c)*y = omega((ln K0 - ln S)/c + ln(beta/c)), omega the Wright omega.
     """
 
     beta: float = 3.0
@@ -175,32 +178,25 @@ class HeavyTailIID:
         out[above] = -np.expm1(log_surv)
         return out if out.shape else float(out)
 
+    def _quantile(self, log_s):
+        # clamped to the support: at log_s = 0 rounding can land 1 ulp below x0
+        z = (self._log_k0 - log_s) / self.c + math.log(self.beta / self.c)
+        x = np.maximum(np.exp(self.c / self.beta * special.wrightomega(z)), self.x0)
+        return float(x) if np.ndim(x) == 0 else x
+
     def inverse_cdf(self, u):
-        """Quantile by bisection in y = ln x, where beta*y + c*ln(y) is monotone."""
+        """Quantile at u in [0, 1), from ln survival = log1p(-u)."""
         u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        u = np.atleast_1d(u)
-        if np.any(u < 0) or np.any(u >= 1):
+        if not np.all((u >= 0) & (u < 1)):
             raise ValueError("inverse CDF is defined on [0, 1)")
-        # solve beta*y + c*ln y = log_k0 - ln(1-u)
-        target = self._log_k0 - np.log1p(-u)
-        lo = np.full(u.shape, self._log_x0)
-        hi = np.maximum(2.0 * lo, lo + 1.0)
-        for _ in range(200):
-            too_low = self.beta * hi + self.c * np.log(hi) < target
-            if not np.any(too_low):
-                break
-            hi = np.where(too_low, 2.0 * hi, hi)
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            high_side = self.beta * mid + self.c * np.log(mid) >= target
-            hi = np.where(high_side, mid, hi)
-            lo = np.where(high_side, lo, mid)
-        y = 0.5 * (lo + hi)
-        x = np.exp(y)
-        if scalar:
-            return float(x[0])
-        return x
+        return self._quantile(np.log1p(-u))
+
+    def inverse_survival(self, s):
+        """x with survival(x) = s in (0, 1], accurate where 1 - s rounds."""
+        s = np.asarray(s, dtype=float)
+        if not np.all((s > 0) & (s <= 1)):
+            raise ValueError("inverse survival is defined on (0, 1]")
+        return self._quantile(np.log(s))
 
     @cached_property
     def mean(self) -> float:
@@ -585,11 +581,11 @@ def _randomized_alpha_pass(model, rule, trials, seed, p_bar, alphas, workers):
 # extreme-value helpers
 
 def extreme_norming_constant(model: HeavyTailIID, n: int) -> float:
-    """a_n with survival(a_n) = 1/n, i.e. the (1 - 1/n)-quantile; a_1 = x0."""
+    """a_n with survival(a_n) = 1/n (a_1 = x0), valid past n = 2**53."""
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    return float(model.inverse_cdf(1.0 - 1.0 / n))
+    return model.inverse_survival(1.0 / n)
 
 
 def heavy_tail_beta_norm(model: HeavyTailIID, s: Optional[float] = None) -> float:

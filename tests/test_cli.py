@@ -262,6 +262,12 @@ def test_bound_missing_options_exit_2(tmp_path, capsys):
                                     "--sigma", "1", "--i-alpha", "1"])
     assert code == 2
     assert err == "error: beta must be > 1\n"
+    for argv in (["--family", "gaussian", "--sigma", "", "--I", "1"],
+                 ["--family", "subexponential", "--sigma", "", "--b", "1", "--I", "1"],
+                 ["--family", "pnorm", "--beta", "2", "--sigma", "", "--i-alpha", "1"]):
+        code, _, err = run_cli(capsys, ["bound"] + argv)
+        assert code == 2
+        assert err == "error: missing required option 'sigma'\n"
 
 
 def test_bad_config_file_exit_2(tmp_path, capsys):
@@ -292,6 +298,17 @@ def test_out_writes_file(tmp_path, capsys):
     assert out == ""
     got = json.loads(target.read_text())
     assert bound_map(got)["gaussian"]["value"] == pytest.approx(math.sqrt(2.0))
+
+
+def test_out_into_missing_directory_exit_2(tmp_path, capsys):
+    target = str(tmp_path / "missing" / "report.json")
+    for argv in (["bound", "--family", "gaussian", "--sigma", "1", "--I", "1"],
+                 ["simulate", "--n", "3", "--trials", "50"],
+                 ["sweep", "--n-list", "5", "--trials", "50"]):
+        code, out, err = run_cli(capsys, argv + ["--out", target])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "No such file" in err
 
 
 # ---------------------------------------------------------------- simulate

@@ -1,8 +1,10 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.special import lambertw
 from scipy.stats import norm
@@ -16,8 +18,18 @@ from biasbound.simulate import (ArgMax, ArgMin, ExponentialIID, FixedIndex,
                                 tightness_sweep)
 
 
+def heavy_quantile_mp(model, log_s):
+    """40-digit root of beta*y + c*ln(y) = ln K0 - ln S, returned as e^y;
+    log_s() gives ln S and is evaluated at the same precision."""
+    with mpmath.workdps(40):
+        beta, c, log_x0 = mpmath.mpf(model.beta), mpmath.mpf(model.c), mpmath.log(model.x0)
+        target = beta * log_x0 + c * mpmath.log(log_x0) - log_s()
+        y = mpmath.findroot(lambda y: beta * y + c * mpmath.log(y) - target, target / beta)
+        return mpmath.exp(y)
+
+
 def heavy_quantile_oracle(model, u):
-    """Closed-form quantile via Lambert W (independent of the bisection)."""
+    """Closed-form quantile via Lambert W (independent of the Wright omega route)."""
     log_k = model.beta * math.log(model.x0) + model.c * math.log(math.log(model.x0))
     k = math.exp(log_k) / (1.0 - u)
     w = lambertw(model.beta / model.c * k ** (1.0 / model.c)).real
@@ -78,6 +90,46 @@ def test_heavy_tail_quantile_other_params():
         HeavyTailIID(n=2).inverse_cdf(-0.1)
 
 
+@pytest.mark.parametrize("beta,c,x0", [(3.0, 2.0, math.e), (2.0, 1.5, 2.5), (4.0, 3.0, 1.4),
+                                       (1.5, 2.0, 2.0), (2.0, 1.8, 2.2), (4.0, 2.5, 1.6)])
+def test_heavy_tail_quantile_at_zero_is_x0(beta, c, x0):
+    model = HeavyTailIID(beta=beta, c=c, x0=x0, n=2)
+    assert model.inverse_cdf(0.0) == x0  # never below the support
+    assert model.inverse_survival(1.0) == x0
+    assert model.inverse_cdf(np.zeros(3)).tolist() == [x0] * 3
+    for s in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            model.inverse_survival(s)
+    with pytest.raises(ValueError):
+        model.inverse_cdf(math.nan)
+
+
+def test_heavy_tail_quantile_mpmath_oracle():
+    us = [0.0, 1e-12] + np.random.default_rng(3).random(20).tolist() \
+        + [1.0 - 10.0 ** -k for k in range(1, 16)]
+    for beta, c, x0 in [(3.0, 2.0, math.e), (2.0, 1.5, 2.0), (1.5, 1.2, 2.0)]:
+        model = HeavyTailIID(beta=beta, c=c, x0=x0, n=2)
+        got = model.inverse_cdf(np.array(us))
+        for u, x in zip(us, got):
+            want = heavy_quantile_mp(model, lambda: mpmath.log1p(-mpmath.mpf(u)))
+            assert abs(x - want) <= 1e-13 * want, (beta, c, x0, u)
+            assert model.inverse_cdf(u) == x  # scalar in, same float out
+
+
+@settings(max_examples=200, deadline=None)
+@given(beta=st.floats(1.05, 8.0), c=st.floats(1.05, 8.0), x0_gap=st.floats(1e-3, 10.0),
+       us=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=20))
+def test_heavy_tail_quantile_properties(beta, c, x0_gap, us):
+    model = HeavyTailIID(beta=beta, c=c, x0=math.exp(1.0 / beta) + x0_gap, n=2)
+    u = np.sort(np.array(us))
+    x = model.inverse_cdf(u)
+    assert np.all(x >= model.x0)
+    # non-decreasing to within the quantile's 1e-13 accuracy: Wright omega
+    # itself is not monotone at the last few ulps
+    assert np.all(x[1:] >= x[:-1] * (1.0 - 1e-13))
+    assert np.all(np.abs(model.cdf(x) - u) <= 1e-9)
+
+
 def test_heavy_tail_mean_against_survival_quadrature():
     model = HeavyTailIID(beta=3.0, c=2.0, x0=math.e, n=2)
     # independent oracle: direct x-space integral of the survival function
@@ -111,6 +163,10 @@ def test_extreme_norming_constant():
     assert np.all(np.diff(vals) > 0)
     with pytest.raises(ValueError):
         extreme_norming_constant(model, 0)
+    # survival space: no cancellation in 1 - 1/n, even past n = 2**53
+    for n in (10 ** 3, 10 ** 9, 10 ** 12, 2 ** 60):
+        want = heavy_quantile_mp(model, lambda: -mpmath.log(n))
+        assert abs(extreme_norming_constant(model, n) - want) <= 1e-13 * want
 
 
 def test_frechet_mean():

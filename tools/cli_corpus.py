@@ -93,6 +93,12 @@ CORPUS = [
                                     "--envelope", "{tmp}/missing.csv"]),
     ("bound-err-pnorm-beta", ["bound", "--family", "pnorm", "--beta", "0.5",
                               "--sigma", "1", "--i-alpha", "1"]),
+    ("bound-err-empty-sigma-gaussian", ["bound", "--family", "gaussian", "--sigma", "",
+                                        "--I", "1"]),
+    ("bound-err-empty-sigma-subexponential", ["bound", "--family", "subexponential",
+                                              "--sigma", "", "--b", "1", "--I", "1"]),
+    ("bound-err-out-missing-dir", ["bound", "--family", "gaussian", "--sigma", "1",
+                                   "--I", "1", "--out", "{tmp}/missing/report.json"]),
 ]
 
 for model in ("gaussian", "exponential", "heavytail"):
