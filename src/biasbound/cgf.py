@@ -7,9 +7,11 @@ gives Chernoff-style tail rates, and the inverse conjugate
 
     (psi*)^{-1}(I) = inf_{0 < lam < domain_sup} (psi(lam) + I) / lam
 
-converts an information budget I (in nats) into a deviation scale.  The
-inverse-conjugate objective is quasiconvex, so a log-grid scan followed by
-golden-section refinement is reliable.
+converts an information budget I (in nats) into a deviation scale.  Both
+numeric solves ask ``_solve.minimize`` for the minimum of a quasiconvex
+function of lam on (0, domain_sup): psi(lam) - lam*x for the conjugate
+(convex), and (psi(lam) + I)/lam for the inverse conjugate (quasiconvex,
+because psi is convex with psi(0) = 0).
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
+
+from ._solve import NumericDivergence, minimize
 
 __all__ = [
     "CgfEnvelope",
@@ -35,36 +39,6 @@ __all__ = [
 # Capped domains are approached to within this relative shrink: close enough
 # to a pole for boundary-attained minima, far enough to stay finite in float64.
 _BOUNDARY_SHRINK = 1e-12
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(f: Callable[[float], float], lo: float, hi: float,
-                xtol: float = 1e-10, rtol: float = 1e-12,
-                max_iter: int = 200) -> Tuple[float, float]:
-    """Golden-section minimum of a unimodal f on [lo, hi].
-
-    Returns the best of the final interior probes and both endpoints, so a
-    minimum attained exactly at a capped boundary is not rounded inward.
-    """
-    a, b = float(lo), float(hi)
-    if not b > a:
-        return a, f(a)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if (b - a) <= xtol + rtol * abs(b):
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    candidates = [(a, f(a)), (c, fc), (d, fd), (b, f(b))]
-    return min(candidates, key=lambda t: t[1])
 
 
 def legendre_transform(f: Callable[[float], float], x: float,
@@ -72,53 +46,18 @@ def legendre_transform(f: Callable[[float], float], x: float,
     """sup over lam in [0, domain_sup) of lam*x - f(lam).
 
     f must be convex with f(0) = 0 (hence nonnegative), so the supremum is
-    always >= 0.  The search doubles an upper bracket until the objective
-    stops improving (or the capped domain is hit), then refines by
-    golden section.  Returns math.inf if the objective grows without bound.
+    always >= 0; it is math.inf if lam*x - f(lam) still grows past 2**1000.
     """
     x = float(x)
     if x < 0:
         raise ValueError("conjugate argument must be nonnegative")
     if x == 0.0:
         return 0.0
-
-    def g(lam: float) -> float:
-        return lam * x - f(lam)
-
-    if math.isfinite(domain_sup):
-        cap = domain_sup * (1.0 - _BOUNDARY_SHRINK)
-        hi = cap
-    else:
-        cap = math.inf
-        hi = 1.0
-        while g(2.0 * hi) > g(hi):
-            hi *= 2.0
-            if hi > 1e250:
-                return math.inf
-        hi *= 2.0
-    _, neg = _golden_min(lambda lam: -g(lam), 0.0, hi)
-    return max(-neg, 0.0)
-
-
-def _quasiconvex_min(h: Callable[[float], float], hi: float,
-                     grid_points: int = 240) -> float:
-    """Minimum value of a quasiconvex h over (0, hi].
-
-    Log-spaced scan locates a bracket (extending left if the minimum hides
-    below the initial grid), then golden section refines it.
-    """
-    lo = hi * 1e-18
-    for _ in range(6):
-        grid = np.geomspace(lo, hi, grid_points)
-        vals = np.array([h(float(t)) for t in grid])
-        i = int(np.argmin(vals))
-        if i > 0 or lo < 1e-280:
-            break
-        lo *= 1e-6
-    lo_b = float(grid[max(i - 1, 0)])
-    hi_b = float(grid[min(i + 1, len(grid) - 1)])
-    _, val = _golden_min(h, lo_b, hi_b)
-    return val
+    hi = domain_sup * (1.0 - _BOUNDARY_SHRINK)
+    try:
+        return max(-minimize(lambda lam: f(lam) - lam * x, hi), 0.0)
+    except NumericDivergence:
+        return math.inf
 
 
 class CgfEnvelope:
@@ -140,7 +79,7 @@ class CgfEnvelope:
         return self.conjugate_numeric(x)
 
     def conjugate_numeric(self, x: float) -> float:
-        """psi*(x) by bracketed golden-section maximization."""
+        """psi*(x) by numeric maximization (``legendre_transform``)."""
         return legendre_transform(self.evaluate, x, self.domain_sup)
 
     def inverse_conjugate(self, info: float) -> float:
@@ -154,20 +93,8 @@ class CgfEnvelope:
             raise ValueError("information budget must be nonnegative")
         if info == 0.0:
             return 0.0
-
-        def h(lam: float) -> float:
-            return (self.evaluate(lam) + info) / lam
-
-        if math.isfinite(self.domain_sup):
-            hi = self.domain_sup * (1.0 - _BOUNDARY_SHRINK)
-        else:
-            hi = 1.0
-            while h(2.0 * hi) < h(hi):
-                hi *= 2.0
-                if hi > 1e250:
-                    break
-            hi *= 2.0
-        return _quasiconvex_min(h, hi)
+        return minimize(lambda lam: (self.evaluate(lam) + info) / lam,
+                        self.domain_sup * (1.0 - _BOUNDARY_SHRINK))
 
 
 @dataclass(frozen=True)

@@ -247,8 +247,8 @@ def _build_model(cfg: RunConfig):
     params = {}
     for f in fields(_MODELS[name]):
         v = getattr(cfg, f.name)
-        if isinstance(v, list):  # --sigma is a list; models take its first value
-            v = v[0] if v else None
+        if isinstance(v, list):  # --sigma is a list; a model takes one value
+            v = _one(cfg, f.name) if v else None
         if v is not None:
             params[f.name] = v
     try:
@@ -266,6 +266,14 @@ def _require(cfg: RunConfig, *names: str) -> None:
     for name in names:
         if getattr(cfg, name) in (None, []):  # --sigma "" parses to []
             raise ConfigError(f"missing required option '{name}'")
+
+
+def _one(cfg: RunConfig, name: str) -> float:
+    """The value of a list option where one value is meant."""
+    values = getattr(cfg, name)
+    if len(values) != 1:
+        raise ConfigError(f"option '{name}' takes one value here, got {len(values)}")
+    return values[0]
 
 
 def cmd_bound(cfg: RunConfig) -> bnd.BoundReport:
@@ -326,7 +334,7 @@ def _bound_report(cfg: RunConfig) -> bnd.BoundReport:
                          bnd.subgamma_bound(cfg.sigma2, cfg.c, i_val), side="upper")
     elif family == "subexponential":
         _require(cfg, "sigma", "b")
-        sub = bnd.subexponential_bound(cfg.sigma[0], cfg.b, i_val)
+        sub = bnd.subexponential_bound(_one(cfg, "sigma"), cfg.b, i_val)
         report.add_bound("subexponential", sub.canonical, side="upper")
         report.add_bound("subexponential_piecewise", sub.piecewise, side="upper")
     elif family == "tabulated":

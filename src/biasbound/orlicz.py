@@ -8,6 +8,12 @@ Two norms of |X| under a finite distribution (values v_i, weights w_i):
 They satisfy ||X||_psi <= ||X||^A_psi <= 2 ||X||_psi, and the generalized
 Hölder inequality E|XY| <= ||X||_psi * ||Y||^A_{psi*} pairs a Luxemburg norm
 with the Amemiya norm of the conjugate function.
+
+Every numeric solve is one call into ``_solve``: the Luxemburg norm and
+psi^{-1} ask ``threshold`` for the smallest s at which the monotone tests
+E psi(|X|/s) <= 1 and psi(s) >= y turn true; the Amemiya norm asks
+``minimize`` for the minimum of its quasiconvex objective, and a conjugate
+without a closed form goes through ``cgf.legendre_transform``.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .cgf import _golden_min, legendre_transform
+from ._solve import NumericDivergence, minimize, threshold
+from .cgf import legendre_transform
 from .divergence import DiscreteJoint
 
 __all__ = [
@@ -33,16 +40,12 @@ __all__ = [
 ]
 
 
-class NumericDivergence(ArithmeticError):
-    """Raised when a norm or bound diverges over the whole search range."""
-
-
 class OrliczFunction:
     """Convex nondecreasing psi on [0, inf) with psi(0) = 0, not identically 0.
 
     ``conjugate_fn`` (if given) is the closed-form convex conjugate
-    psi*(v) = sup_u (u v - psi(u)); otherwise the conjugate is computed by
-    bracketed golden-section search.
+    psi*(v) = sup_u (u v - psi(u)); otherwise the conjugate is computed
+    numerically by ``cgf.legendre_transform``.
     """
 
     def __init__(self, fn: Callable, name: str = "psi",
@@ -100,25 +103,14 @@ class OrliczFunction:
     def inverse(self, y: float) -> float:
         """Smallest u with psi(u) >= y (generalized inverse), y >= 0."""
         y = float(y)
-        if y < 0:
+        if not y >= 0:
             raise ValueError("inverse argument must be nonnegative")
         if y == 0.0:
             return 0.0
-        hi = 1.0
-        for _ in range(2000):
-            if float(self(hi)) >= y:
-                break
-            hi *= 2.0
-        else:
+        u = threshold(lambda u: float(self(u)) >= y, 1.0)
+        if u == math.inf:
             raise NumericDivergence("psi never reaches the requested level")
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if float(self(mid)) >= y:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        return u
 
 
 def power_orlicz(p: float) -> OrliczFunction:
@@ -172,13 +164,15 @@ def _as_weighted(values, weights) -> Tuple[np.ndarray, np.ndarray]:
     v = np.abs(np.asarray(values, dtype=float).ravel())
     if v.size == 0:
         raise ValueError("empty sample")
+    if np.any(np.isnan(v)):
+        raise ValueError("values must not be NaN")
     if weights is None:
         w = np.full(v.size, 1.0 / v.size)
     else:
         w = np.asarray(weights, dtype=float).ravel()
         if w.shape != v.shape:
             raise ValueError("weights must match values in length")
-        if np.any(w < 0):
+        if not np.all(w >= 0):
             raise ValueError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
@@ -199,62 +193,35 @@ def luxemburg_norm(values, psi: OrliczFunction, weights=None) -> float:
         terms = w * np.asarray(psi(ratios), dtype=float)
         return float(np.sum(terms[w > 0]))
 
-    hi = float(v.max())
-    for _ in range(1000):
-        if excess(hi) <= 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise NumericDivergence("Luxemburg norm diverges: E psi(|X|/s) > 1 for all tried s")
-    lo = hi
-    for _ in range(1000):
-        if excess(lo / 2.0) > 1.0:
-            break
-        lo /= 2.0
-        if lo < 1e-300:
-            return 0.0
-    lo /= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    s = threshold(lambda s: excess(s) <= 1.0, v.max())
+    if s == math.inf:
+        raise NumericDivergence("Luxemburg norm diverges: E psi(|X|/s) > 1 for all s")
+    return s
 
 
 def amemiya_norm(values, psi: OrliczFunction, weights=None) -> float:
     """Amemiya norm inf_t (1 + E psi(t |X|)) / t of a finite distribution.
 
-    A 64-point log-spaced scan over t in [1e-8, 1e8] certifies a bracket,
-    then golden section refines it (the objective is quasiconvex, but the
-    scan does not assume that).
+    With t = s / max|X| the objective is max|X| (1 + E psi(s |X| / max|X|)) / s,
+    quasiconvex in s; ``_solve.minimize`` takes its minimum over s > 0, so the
+    search starts at t = 1 / max|X| whatever the scale of X.  NumericDivergence
+    if the objective is infinite for every t or has no minimum below s = 2**1000.
     """
     v, w = _as_weighted(values, weights)
     if not np.any((v > 0) & (w > 0)):
         return 0.0
     active = w > 0
-    va, wa = v[active], w[active]
+    m = float(v[active].max())
+    if m == math.inf:
+        raise NumericDivergence("Amemiya objective diverges for every t")
+    u, wa = v[active] / m, w[active]
 
-    def obj(t: float) -> float:
-        return (1.0 + float(np.sum(wa * np.asarray(psi(t * va), dtype=float)))) / t
+    def obj(s: float) -> float:
+        return m * (1.0 + float(np.sum(wa * np.asarray(psi(s * u), dtype=float)))) / s
 
-    t_lo, t_hi = 1e-8, 1e8
-    for _ in range(4):
-        grid = np.geomspace(t_lo, t_hi, 64)
-        vals = np.array([obj(float(t)) for t in grid])
-        if not np.any(np.isfinite(vals)):
-            raise NumericDivergence("Amemiya objective diverged over the whole scan grid")
-        i = int(np.argmin(vals))
-        if i == 0:
-            t_lo *= 1e-4
-        elif i == len(grid) - 1:
-            t_hi *= 1e4
-        else:
-            break
-    lo_b = float(grid[max(i - 1, 0)])
-    hi_b = float(grid[min(i + 1, len(grid) - 1)])
-    _, val = _golden_min(obj, lo_b, hi_b)
+    val = minimize(obj, math.inf)
+    if val == math.inf:
+        raise NumericDivergence("Amemiya objective diverges for every t")
     return val
 
 

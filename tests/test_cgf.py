@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biasbound.cgf import (MixedEnvelope, SubExponential, SubGamma,
                            SubGaussian, Tabulated, legendre_transform,
@@ -48,7 +49,7 @@ def test_subgaussian_closed_forms():
 
 
 def test_subgaussian_numeric_matches_closed():
-    for sigma in (0.3, 1.0, 2.5):
+    for sigma in (0.3, 1.0, 2.5, 1e20, 1e40):
         env = SubGaussian(sigma)
         for info in (1e-4, 0.1, math.log(2), 3.0, 20.0):
             closed = env.inverse_conjugate(info)
@@ -57,6 +58,23 @@ def test_subgaussian_numeric_matches_closed():
         for x in (0.05, 1.0, 4.0):
             assert math.isclose(env.conjugate(x), env.conjugate_numeric(x),
                                 rel_tol=1e-9)
+    assert math.isclose(SubGaussian(1e20).conjugate_numeric(1.0), 5e-41, rel_tol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.floats(-40, 40), s=st.floats(0.5, 2.0), c=st.floats(0.1, 2.0),
+       info=st.floats(1e-3, 1e2), t=st.floats(0.01, 100.0))
+def test_numeric_matches_closed_at_any_scale(k, s, c, info, t):
+    # X -> aX maps SubGaussian(s) to SubGaussian(a s) and SubGamma(s^2, c) to
+    # SubGamma(a^2 s^2, a c); the conjugate argument a t scales with X.  The
+    # conjugate is held to 1e-9 only because the closed sub-gamma form
+    # 1 + u - sqrt(1 + 2u) cancels at small u (1.8e-10 at u = 2.5e-4)
+    a = 10.0 ** k
+    for env in (SubGaussian(a * s), SubGamma((a * s) ** 2, a * c)):
+        assert math.isclose(env.inverse_conjugate_numeric(info),
+                            env.inverse_conjugate(info), rel_tol=1e-12)
+        assert math.isclose(env.conjugate_numeric(a * t), env.conjugate(a * t),
+                            rel_tol=1e-9)
 
 
 def test_subgamma_closed_forms_and_numeric():

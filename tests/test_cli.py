@@ -161,10 +161,12 @@ def test_rule_and_model_defaults():
     assert _build_model(RunConfig()) == GaussianIID(mu=0.0, sigma=1.0, n=10)
     assert _build_model(RunConfig(model="heavytail")) == HeavyTailIID(
         beta=3.0, c=2.0, x0=math.e, n=10)
-    # options of other models are ignored; --sigma contributes its first value
-    assert _build_model(RunConfig(model="exponential", sigma=[5.0], rate=2.0, n=3)) \
+    # options of other models are ignored; a model takes one --sigma value
+    assert _build_model(RunConfig(model="exponential", sigma=[5.0, 6.0], rate=2.0, n=3)) \
         == ExponentialIID(rate=2.0, n=3)
-    assert _build_model(RunConfig(sigma=[2.0, 3.0], rate=9.0)) == GaussianIID(sigma=2.0)
+    assert _build_model(RunConfig(sigma=[2.0], rate=9.0)) == GaussianIID(sigma=2.0)
+    with pytest.raises(ConfigError, match="option 'sigma' takes one value here, got 2"):
+        _build_model(RunConfig(sigma=[2.0, 3.0]))
     with pytest.raises(ConfigError, match="unknown model 'bogus'"):
         _build_model(RunConfig(model="bogus"))
 
@@ -268,6 +270,10 @@ def test_bound_missing_options_exit_2(tmp_path, capsys):
         code, _, err = run_cli(capsys, ["bound"] + argv)
         assert code == 2
         assert err == "error: missing required option 'sigma'\n"
+    code, out, err = run_cli(capsys, ["bound", "--family", "subexponential",
+                                      "--sigma", "1,50", "--b", "1", "--I", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: option 'sigma' takes one value here, got 2\n"
 
 
 def test_bad_config_file_exit_2(tmp_path, capsys):
@@ -360,6 +366,15 @@ def test_simulate_invalid_rule_exit_2(capsys):
     assert "unknown rule" in err
     code, _, err = run_cli(capsys, ["simulate", "--rule", "fixed:99", "--n", "4"])
     assert code == 2
+
+
+def test_model_sigma_list_exit_2(capsys):
+    for argv in (["simulate", "--model", "gaussian", "--sigma", "1,50", "--trials", "50"],
+                 ["sweep", "--model", "gaussian", "--sigma", "3,1", "--n-list", "5",
+                  "--trials", "50"]):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: option 'sigma' takes one value here, got 2\n"
 
 
 # ---------------------------------------------------------------- sweep
@@ -474,3 +489,7 @@ def test_norms_bad_inputs_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["norms", "--data", str(path), "--psi", "huh"])
     assert code == 2
     assert "unknown psi" in err
+    path.write_text("value\nnan\n1.0\n")
+    code, _, err = run_cli(capsys, ["norms", "--data", str(path), "--psi", "power:2"])
+    assert code == 2
+    assert "NaN" in err

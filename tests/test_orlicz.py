@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biasbound.divergence import (DiscreteJoint, alpha_mutual_information)
-from biasbound.orlicz import (OrliczFunction, amemiya_norm, exp_orlicz,
-                              holder_check, luxemburg_norm, orlicz_bias_bound,
+from biasbound.orlicz import (NumericDivergence, OrliczFunction, amemiya_norm,
+                              exp_orlicz, holder_check, luxemburg_norm, orlicz_bias_bound,
                               power_orlicz, scaled_power_orlicz)
 
 
@@ -52,12 +53,31 @@ def test_norm_equivalence_luxemburg_amemiya():
         assert am <= 2 * lux * (1 + 1e-9)
 
 
+@settings(max_examples=100, deadline=None)
+@given(x=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6), k=st.integers(-30, 30),
+       which=st.integers(0, 3))
+def test_norms_are_homogeneous(x, k, which):
+    psi = (power_orlicz(1.5), power_orlicz(2.0), scaled_power_orlicz(3.0),
+           exp_orlicz())[which]
+    c = 10.0 ** k
+    for norm in (luxemburg_norm, amemiya_norm):
+        assert norm([c * v for v in x], psi) == pytest.approx(
+            c * norm(x, psi), rel=1e-12, abs=0)
+
+
 def test_amemiya_equality_case():
     # constant variable with psi = u^2: Amemiya = 2 * Luxemburg exactly
     c = np.array([1.7, 1.7, 1.7])
     psi = power_orlicz(2.0)
     assert luxemburg_norm(c, psi) == pytest.approx(1.7, rel=1e-9)
     assert amemiya_norm(c, psi) == pytest.approx(3.4, rel=1e-9)
+    for scale in (1e30, 1e-30):
+        assert luxemburg_norm([scale], psi) == pytest.approx(scale, rel=1e-13, abs=0)
+        assert amemiya_norm([scale], psi) == pytest.approx(2 * scale, rel=1e-13, abs=0)
+    # psi = u with weight 1e-300 on 1: the objective 1/t + 1e-300 still
+    # decreases in floats past t = 2**1000, so no minimum is found in range
+    with pytest.raises(NumericDivergence):
+        amemiya_norm([0.0, 1.0], power_orlicz(1.0), [1.0, 1e-300])
 
 
 def test_zero_variable_has_zero_norms():
@@ -73,10 +93,21 @@ def test_weights_and_validation():
     w = np.array([0.75, 0.25])
     want = math.sqrt(0.75 * 1 + 0.25 * 9)
     assert luxemburg_norm(x, psi, w) == pytest.approx(want, rel=1e-9)
+    # a tiny weight on a huge value: sqrt(1 + 1e-300 * 1e400) = 1e50
+    assert luxemburg_norm([1.0, 1e200], psi, [1.0 - 1e-300, 1e-300]) == \
+        pytest.approx(1e50, rel=1e-13)
     with pytest.raises(ValueError):
         luxemburg_norm(x, psi, np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
         luxemburg_norm(x, psi, np.array([1.5, -0.5]))
+    # NaN values or weights are rejected, not searched on
+    for norm in (luxemburg_norm, amemiya_norm):
+        with pytest.raises(ValueError):
+            norm([math.nan, 1.0], psi)
+        with pytest.raises(ValueError):
+            norm(x, psi, [math.nan, 1.0])
+    with pytest.raises(ValueError):
+        psi.inverse(math.nan)
     with pytest.raises(ValueError):
         luxemburg_norm(np.array([]), psi)
 
@@ -95,11 +126,12 @@ def test_orlicz_function_validation():
 
 
 def test_conjugate_closed_vs_numeric():
-    pairs = [(power_orlicz(2.0), None), (scaled_power_orlicz(3.0), None),
-             (exp_orlicz(), None)]
-    for psi, _ in pairs:
+    # power(1) has conjugate 0 up to v = 1 and +inf beyond: the numeric
+    # supremum of u v - u must come out unbounded, not as a large float
+    for psi in (power_orlicz(1.0), power_orlicz(2.0), scaled_power_orlicz(3.0),
+                exp_orlicz()):
         numeric = OrliczFunction(psi._fn, name="numeric", validate=False)
-        for v in (0.2, 1.0, 2.5, 6.0):
+        for v in (0.2, 1.0, 2.0, 2.5, 6.0):
             assert psi.conjugate_value(v) == pytest.approx(
                 numeric.conjugate_value(v), rel=1e-6, abs=1e-9)
 
@@ -117,6 +149,9 @@ def test_inverse_of_psi():
     assert psi.inverse(0.0) == 0.0
     e = exp_orlicz()
     assert e.inverse(math.e - 1) == pytest.approx(1.0, rel=1e-9)
+    # far from unit scale, against the closed forms y**(1/p) and log1p(y)
+    assert psi.inverse(1e-300) == pytest.approx(1e-300 ** 0.5, rel=1e-13, abs=0)
+    assert e.inverse(1e-200) == pytest.approx(math.log1p(1e-200), rel=1e-13, abs=0)
 
 
 def test_generalized_holder():

@@ -1,0 +1,46 @@
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from biasbound._solve import NumericDivergence, minimize, threshold
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=st.floats(1e-300, 1e300), x=st.floats(1e-300, 1e300))
+def test_threshold_is_the_switching_float(y, x):
+    # s*s >= y is monotone in s (float products round monotonically)
+    def pred(s):
+        return s * s >= y
+
+    s = threshold(pred, x)
+    assert pred(s) and not pred(math.nextafter(s, 0.0))
+    t = threshold(lambda s: s >= y, x)
+    assert t == y
+
+
+def test_threshold_edges():
+    assert threshold(lambda s: True, 1.0) == 5e-324
+    assert threshold(lambda s: False, 1.0) == math.inf
+    assert threshold(lambda s: s >= 1e308, 1e-300) == 1e308
+    assert threshold(lambda s: True, math.inf) == 5e-324
+    for x in (math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            threshold(lambda s: s >= 1.0, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.floats(-250, 250), capped=st.booleans())
+def test_minimize_any_scale(k, capped):
+    t0 = 10.0 ** k
+
+    def f(t):
+        return t / t0 + t0 / t  # minimum 2 at t0
+
+    assert math.isclose(minimize(f, 4.0 * t0 if capped else math.inf), 2.0,
+                        rel_tol=1e-14)
+    # a decreasing f attains its minimum at hi; an unbounded one has none
+    hi = 3.0 * t0
+    assert minimize(lambda t: -t / t0, hi) == -hi / t0
+    with pytest.raises(NumericDivergence):
+        minimize(lambda t: -t, math.inf)

@@ -38,7 +38,10 @@ FILES = {
         f"{l / 10!r},{(l / 10) ** 2 / 2!r}\n" for l in range(41)),
     "data.csv": "value\n1.0\n2.5\n0.5\n3.0\n",
     "weighted.csv": "value,weight\n1.0,0.25\n2.0,0.75\n",
+    "data_1e30.csv": "value\n1e30\n2.5e30\n5e29\n3e30\n",
+    "tiny_weight.csv": f"value,weight\n1.0,{1 - 1e-300!r}\n1e200,1e-300\n",
     "divergent.csv": "value\ninf\n1.0\n",
+    "nan.csv": "value\nnan\n1.0\n",
     "bad_data.csv": "value\n1.0\nnot-a-number\n",
     "bound.cfg": "family = gaussian\nsigma = 1.0\ninfo = 0.5\nseed = 4\n",
     "simulate.cfg": ("model = heavytail  # comment\nn = 7\nrule = topk:2\n"
@@ -97,6 +100,8 @@ CORPUS = [
                                         "--I", "1"]),
     ("bound-err-empty-sigma-subexponential", ["bound", "--family", "subexponential",
                                               "--sigma", "", "--b", "1", "--I", "1"]),
+    ("bound-err-sigma-list-subexponential", ["bound", "--family", "subexponential",
+                                             "--sigma", "1,50", "--b", "1", "--I", "1"]),
     ("bound-err-out-missing-dir", ["bound", "--family", "gaussian", "--sigma", "1",
                                    "--I", "1", "--out", "{tmp}/missing/report.json"]),
 ]
@@ -129,6 +134,7 @@ CORPUS += [
     ("simulate-err-topk-zero", ["simulate", "--rule", "topk:0"]),
     ("simulate-err-model-param", ["simulate", "--model", "heavytail", "--beta", "0.9"]),
     ("simulate-err-probe", SIM + ["--probe", "6"]),
+    ("simulate-err-sigma-list", ["simulate", "--model", "gaussian", "--sigma", "1,50"]),
     ("sweep-gaussian", SWEEP + ["--model", "gaussian", "--n-list", "20,50"]),
     ("sweep-exponential-json", SWEEP + ["--model", "exponential", "--rate", "2",
                                         "--n-list", "10,30", "--format", "json"]),
@@ -138,6 +144,7 @@ CORPUS += [
     ("sweep-default-nlist", ["sweep", "--trials", "100"]),
     ("sweep-config", ["sweep", "--config", "{tmp}/sweep.cfg"]),
     ("sweep-err-trials", SWEEP + ["--trials", "0"]),
+    ("sweep-err-sigma-list", ["sweep", "--model", "gaussian", "--sigma", "3,1"]),
     ("estimate-identity", ["estimate", "--joint", "{tmp}/joint.csv", "--alphas", "1.5,2"]),
     ("estimate-independent", ["estimate", "--joint", "{tmp}/indep.csv"]),
     ("estimate-err-missing", ["estimate"]),
@@ -146,7 +153,10 @@ CORPUS += [
     ("norms-power", ["norms", "--data", "{tmp}/data.csv", "--psi", "power:2"]),
     ("norms-scaled-weighted", ["norms", "--data", "{tmp}/weighted.csv", "--psi", "scaled:3"]),
     ("norms-exp", ["norms", "--data", "{tmp}/data.csv", "--psi", "exp"]),
+    ("norms-power-1e30", ["norms", "--data", "{tmp}/data_1e30.csv", "--psi", "power:2"]),
+    ("norms-tiny-weight", ["norms", "--data", "{tmp}/tiny_weight.csv", "--psi", "power:2"]),
     ("norms-err-divergent", ["norms", "--data", "{tmp}/divergent.csv", "--psi", "exp"]),
+    ("norms-err-nan", ["norms", "--data", "{tmp}/nan.csv", "--psi", "power:2"]),
     ("norms-err-bad-data", ["norms", "--data", "{tmp}/bad_data.csv", "--psi", "power:2"]),
     ("norms-err-psi", ["norms", "--data", "{tmp}/data.csv", "--psi", "huh"]),
 ]
