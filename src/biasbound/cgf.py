@@ -16,13 +16,13 @@ because psi is convex with psi(0) = 0).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
+from ._csv import Table
 from ._solve import NumericDivergence, minimize
 
 __all__ = [
@@ -196,12 +196,14 @@ class SubGamma(CgfEnvelope):
         return 0.5 * lam * lam * self.sigma2 / (1.0 - self.c * lam)
 
     def conjugate(self, x: float) -> float:
-        # psi*(x) = (sigma2/c^2) h(cx/sigma2) with h(u) = 1 + u - sqrt(1 + 2u)
+        # psi*(x) = (sigma2/c^2) h(cx/sigma2) with h(u) = 1 + u - sqrt(1 + 2u),
+        # evaluated as u * u / (1 + u + sqrt(1 + 2u)): no cancellation at small
+        # u, and the division first keeps u * u from overflowing at large u
         x = float(x)
         if x < 0:
             raise ValueError("conjugate argument must be nonnegative")
         u = self.c * x / self.sigma2
-        h = 1.0 + u - math.sqrt(1.0 + 2.0 * u)
+        h = u / (1.0 + u + math.sqrt(1.0 + 2.0 * u)) * u
         return self.sigma2 / (self.c * self.c) * h
 
     def inverse_conjugate(self, info: float) -> float:
@@ -230,7 +232,7 @@ class Tabulated(CgfEnvelope):
             raise ValueError("lambda grid must be strictly increasing")
         if abs(lams[0]) > 0 or abs(psis[0]) > 1e-12:
             raise ValueError("grid must start at (0, 0)")
-        if np.any(np.diff(psis) < -1e-12):
+        if not np.all(np.diff(psis) >= -1e-12):
             raise ValueError("envelope values must be nondecreasing")
         slopes = np.diff(psis) / np.diff(lams)
         if np.any(np.diff(slopes) < -1e-9 * (1.0 + np.abs(slopes[:-1]))):
@@ -253,22 +255,10 @@ class Tabulated(CgfEnvelope):
     @classmethod
     def from_csv(cls, path) -> "Tabulated":
         """Load a grid from CSV with header line ``lambda,psi``."""
-        lams, psis = [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: empty envelope file")
-            for i, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) < 2:
-                    raise ValueError(f"{path}: line {i}: expected two columns")
-                try:
-                    lams.append(float(row[0]))
-                    psis.append(float(row[1]))
-                except ValueError:
-                    raise ValueError(f"{path}: line {i}: non-numeric entry") from None
+        table = Table(path)
+        if len(table.header) != 2:
+            raise ValueError(f"{path}: line 1: expected two columns, lambda,psi")
+        lams, psis = table.floats().T
         return cls(lams, psis)
 
 

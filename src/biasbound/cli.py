@@ -4,8 +4,9 @@ Options may come from flags or from a flat ``key = value`` config file
 (``--config``); explicit flags win over the file, the file wins over
 defaults.  Each option is declared once, as a ``RunConfig`` field; the
 config keys and the subcommand parsers are generated from those fields.
-Exit codes: 0 success, 2 configuration/validation error (line-anchored for
-config files), 3 numeric divergence.
+Exit codes: 0 success, 2 any invalid value or unreadable file (line-anchored
+for config and CSV files), 3 numeric divergence; ``main`` is the one place
+that maps errors to them.
 """
 
 from __future__ import annotations
@@ -23,18 +24,26 @@ from . import bounds as bnd
 from . import divergence as dv
 from . import orlicz as orz
 from . import simulate as sim
+from ._csv import Table
 from .cgf import Tabulated
 
 __all__ = ["main", "RunConfig", "ConfigError"]
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(ValueError):
+    """An invalid option or config file; ``main`` exits 2 on any ValueError."""
+
+
+def _parse_float(s: str) -> float:
+    x = float(s)
+    if math.isnan(x):
+        raise ValueError(f"expected a number, got {s!r}")
+    return x
 
 
 def _parse_floats(s: str) -> List[float]:
     try:
-        return [float(x) for x in str(s).split(",") if x.strip() != ""]
+        return [_parse_float(x) for x in str(s).split(",") if x.strip() != ""]
     except ValueError:
         raise ValueError(f"expected comma-separated floats, got {s!r}") from None
 
@@ -58,7 +67,7 @@ def _parse_bool(s: str) -> bool:
 # value kinds: (parse, serialize); parse is also the flag's argparse type
 _INT = (int, str)
 _STR = (str, str)
-_FLOAT = (float, lambda v: repr(float(v)))
+_FLOAT = (_parse_float, lambda v: repr(float(v)))
 _FLOATS = (_parse_floats, lambda v: ",".join(repr(float(x)) for x in v))
 _INTS = (_parse_ints, lambda v: ",".join(str(int(x)) for x in v))
 _BOOL = (_parse_bool, lambda v: "true" if v else "false")
@@ -251,10 +260,7 @@ def _build_model(cfg: RunConfig):
             v = _one(cfg, f.name) if v else None
         if v is not None:
             params[f.name] = v
-    try:
-        return _MODELS[name](**params)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return _MODELS[name](**params)
 
 
 def _load_joint_dependence(cfg: RunConfig, alpha: float):
@@ -278,13 +284,6 @@ def _one(cfg: RunConfig, name: str) -> float:
 
 def cmd_bound(cfg: RunConfig) -> bnd.BoundReport:
     _require(cfg, "family")
-    try:
-        return _bound_report(cfg)
-    except (OSError, ValueError) as exc:  # unreadable input file or invalid value
-        raise ConfigError(str(exc))
-
-
-def _bound_report(cfg: RunConfig) -> bnd.BoundReport:
     report = bnd.BoundReport(meta={"command": "bound", "family": cfg.family,
                                    "seed": cfg.seed})
     p_t = dv.load_probability_vector(cfg.p_t) if cfg.p_t else None
@@ -378,23 +377,17 @@ def _simulation_bounds(report: bnd.BoundReport, model, rule,
 
 def cmd_simulate(cfg: RunConfig) -> bnd.BoundReport:
     model = _build_model(cfg)
-    try:
-        rule = _parse_rule(cfg.rule or "argmax")
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    rule = _parse_rule(cfg.rule or "argmax")
     alphas = list(cfg.alphas or [])
     # I_2 and the I_alpha that the moment cap's conjugate exponent consumes
     for a in (2.0, bnd.conjugate_exponent(model.moment_cap[0])):
         if a not in alphas:
             alphas.append(a)
     trials = cfg.trials if cfg.trials is not None else 10000
-    try:
-        res = sim.run_experiment(
-            model, rule, trials, cfg.seed, bins=cfg.bins,
-            probe=cfg.probe if cfg.probe is not None else 0,
-            alphas=alphas, workers=cfg.workers if cfg.workers is not None else 1)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    res = sim.run_experiment(
+        model, rule, trials, cfg.seed, bins=cfg.bins,
+        probe=cfg.probe if cfg.probe is not None else 0,
+        alphas=alphas, workers=cfg.workers if cfg.workers is not None else 1)
     report = bnd.BoundReport(
         meta={"command": "simulate", "model": model.label, "rule": rule.label,
               "n": model.n, "trials": res.trials, "seed": res.seed,
@@ -413,21 +406,14 @@ def cmd_sweep(cfg: RunConfig):
     model = _build_model(cfg)
     n_list = cfg.n_list or [100, 1000, 10000]
     trials = cfg.trials if cfg.trials is not None else 10000
-    try:
-        rows = sim.tightness_sweep(
-            model, n_list, trials, cfg.seed,
-            workers=cfg.workers if cfg.workers is not None else 1)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    return model, rows
+    return model, sim.tightness_sweep(
+        model, n_list, trials, cfg.seed,
+        workers=cfg.workers if cfg.workers is not None else 1)
 
 
 def cmd_estimate(cfg: RunConfig) -> Dict:
     _require(cfg, "joint")
-    try:
-        joint = dv.DiscreteJoint.from_csv(cfg.joint)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(str(exc))
+    joint = dv.DiscreteJoint.from_csv(cfg.joint)
     alphas = cfg.alphas or [2.0]
     i_val = dv.mutual_information(joint)
     i_alpha = {f"{a:g}": dv.alpha_mutual_information(joint, a) for a in alphas}
@@ -443,36 +429,14 @@ def cmd_estimate(cfg: RunConfig) -> Dict:
     }
 
 
-def _load_weighted_csv(path):
-    import csv as _csv
-    values, weights = [], []
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ConfigError(f"{path}: empty data file")
-        has_weight = len(header) >= 2
-        for i, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                values.append(float(row[0]))
-                if has_weight:
-                    weights.append(float(row[1]))
-            except (ValueError, IndexError):
-                raise ConfigError(f"{path}: line {i}: non-numeric entry") from None
-    if not values:
-        raise ConfigError(f"{path}: no data rows")
-    return np.array(values), (np.array(weights) if has_weight else None)
-
-
 def cmd_norms(cfg: RunConfig) -> Dict:
     _require(cfg, "data", "psi")
     psi = _parse_psi(cfg.psi)
-    try:
-        values, weights = _load_weighted_csv(cfg.data)
-    except OSError as exc:
-        raise ConfigError(str(exc))
+    table = Table(cfg.data)
+    if len(table.header) > 2:
+        raise ConfigError(f"{cfg.data}: line 1: expected columns value or value,weight")
+    data = table.floats()
+    values, weights = data[:, 0], (data[:, 1] if data.shape[1] == 2 else None)
     out = {"meta": {"command": "norms", "data": cfg.data, "psi": psi.name},
            "norms": {}, "divergent": False}
     for name, fn in (("luxemburg", orz.luxemburg_norm), ("amemiya", orz.amemiya_norm)):
@@ -480,8 +444,6 @@ def cmd_norms(cfg: RunConfig) -> Dict:
             v = fn(values, psi, weights)
         except orz.NumericDivergence:
             v = math.inf
-        except ValueError as exc:
-            raise ConfigError(str(exc))
         if not math.isfinite(v):
             out["divergent"] = True
             out["norms"][name] = None
@@ -492,11 +454,8 @@ def cmd_norms(cfg: RunConfig) -> Dict:
 
 def _emit(text: str, cfg: RunConfig) -> None:
     if cfg.out:
-        try:
-            with open(cfg.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigError(str(exc))
+        with open(cfg.out, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -527,7 +486,7 @@ def main(argv=None) -> int:
         if divergent:
             print("error: norm diverged over the search range", file=sys.stderr)
             return 3
-    except ConfigError as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except orz.NumericDivergence as exc:

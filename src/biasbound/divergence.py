@@ -14,6 +14,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy import special
 
+from ._csv import Table
+
 __all__ = [
     "PhiGenerator",
     "kl_generator",
@@ -111,7 +113,7 @@ def _as_prob_vector(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         raise ValueError("expected a 1-D probability vector")
-    if np.any(p < 0):
+    if not np.all(p >= 0):
         raise ValueError("probabilities must be nonnegative")
     if abs(p.sum() - 1.0) > 1e-9:
         raise ValueError(f"probabilities must sum to 1, got {p.sum()!r}")
@@ -130,8 +132,8 @@ class DiscreteJoint:
         p = np.array(p, dtype=float)
         if p.ndim != 2:
             raise ValueError("joint table must be 2-D")
-        if np.any(p < 0):
-            raise ValueError("joint table has negative entries")
+        if not np.all(p >= 0):
+            raise ValueError("joint table entries must be nonnegative")
         total = p.sum()
         if abs(total - 1.0) > _MASS_ATOL:
             raise ValueError(f"joint table mass must be 1 within 1e-12, got {total!r}")
@@ -178,26 +180,10 @@ class DiscreteJoint:
 
     @classmethod
     def from_csv(cls, path) -> "DiscreteJoint":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header or len(header) < 2:
-                raise ValueError(f"{path}: expected a header row with column labels")
-            col_labels = [c.strip() for c in header[1:]]
-            row_labels, rows = [], []
-            for i, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) != len(col_labels) + 1:
-                    raise ValueError(f"{path}: line {i}: expected {len(col_labels) + 1} columns")
-                row_labels.append(row[0].strip())
-                try:
-                    rows.append([float(c) for c in row[1:]])
-                except ValueError:
-                    raise ValueError(f"{path}: line {i}: non-numeric entry") from None
-        if not rows:
-            raise ValueError(f"{path}: no data rows")
-        return cls(np.array(rows), row_labels, col_labels)
+        table = Table(path)
+        if len(table.header) < 2:
+            raise ValueError(f"{path}: line 1: expected a header row with column labels")
+        return cls(table.floats(1), [row[0] for row in table.rows], table.header[1:])
 
 
 def phi_divergence(p, q, gen: PhiGenerator) -> float:
@@ -284,18 +270,10 @@ def phi_mi_marginal_bound(p_t, gen: PhiGenerator) -> float:
 
 def load_probability_vector(path) -> np.ndarray:
     """Read a one-column CSV (header ``p``) as a probability vector."""
-    vals = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for i, row in enumerate(reader, start=2):
-            if not row or not row[0].strip():
-                continue
-            try:
-                vals.append(float(row[0]))
-            except ValueError:
-                raise ValueError(f"{path}: line {i}: non-numeric entry") from None
-    return _as_prob_vector(np.array(vals))
+    table = Table(path)
+    if len(table.header) != 1:
+        raise ValueError(f"{path}: line 1: expected one column, p")
+    return _as_prob_vector(table.floats()[:, 0])
 
 
 def save_probability_vector(p, path) -> None:

@@ -101,12 +101,18 @@ class OrliczFunction:
         return OrliczFunction(fn, name=f"{self.name}*", validate=False)
 
     def inverse(self, y: float) -> float:
-        """Smallest u with psi(u) >= y (generalized inverse), y >= 0."""
+        """Smallest u with psi(u) >= y (generalized inverse), y >= 0.
+
+        psi^{-1}(inf) is math.inf: a psi(u) that overflows to inf in floats
+        is not a level psi reaches.
+        """
         y = float(y)
         if not y >= 0:
             raise ValueError("inverse argument must be nonnegative")
         if y == 0.0:
             return 0.0
+        if y == math.inf:
+            return math.inf
         u = threshold(lambda u: float(self(u)) >= y, 1.0)
         if u == math.inf:
             raise NumericDivergence("psi never reaches the requested level")

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,6 +91,21 @@ def test_subgamma_closed_forms_and_numeric():
         expect = 4.0 / 4.0 * (1.0 + u - math.sqrt(1.0 + 2.0 * u))
         assert math.isclose(env.conjugate(x), expect, rel_tol=1e-12)
         assert math.isclose(env.conjugate_numeric(x), expect, rel_tol=1e-8)
+
+
+def test_subgamma_conjugate_mpmath_oracle():
+    # at small u = c x / sigma2 the form 1 + u - sqrt(1 + 2u) cancels
+    for sigma2, c in ((1.0, 1.0), (4.0, 2.0), (0.3, 7.0)):
+        env = SubGamma(sigma2, c)
+        for k in range(3, 10):
+            x = 10.0 ** -k
+            with mpmath.workdps(40):
+                u = mpmath.mpf(c) * mpmath.mpf(x) / mpmath.mpf(sigma2)
+                want = mpmath.mpf(sigma2) / mpmath.mpf(c) ** 2 * (
+                    1 + u - mpmath.sqrt(1 + 2 * u))
+            assert env.conjugate(x) == pytest.approx(float(want), rel=1e-13, abs=0)
+    # u * u would overflow here; the value is 1e300 - sqrt(2e300) + 1
+    assert SubGamma(1.0, 1.0).conjugate(1e300) == pytest.approx(1e300, rel=1e-13)
 
 
 def test_subexponential_conjugate_piecewise():
@@ -234,6 +250,9 @@ def test_tabulated_validation():
         Tabulated([0.0, 1.0, 2.0], [0.0, 1.0, 0.5])  # decreasing
     with pytest.raises(ValueError):
         Tabulated([0.0, 1.0], [0.0, 1.0])  # slope 1 at the origin
+    for psis in ([0.0, math.nan, 1.0], [math.nan, 0.5, 1.0], [0.0, 0.5, math.nan]):
+        with pytest.raises(ValueError):
+            Tabulated([0.0, 1.0, 2.0], psis)
 
 
 def test_tabulated_csv_round_trip(tmp_path):
@@ -246,10 +265,14 @@ def test_tabulated_csv_round_trip(tmp_path):
     tab = Tabulated.from_csv(path)
     assert tab.domain_sup == 2.0
     assert math.isclose(tab.evaluate(1.37), 1.37 ** 2, rel_tol=1e-3)
-    with pytest.raises(ValueError):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("lambda,psi\n0.0,0.0\nx,1.0\n")
-        Tabulated.from_csv(bad)
+    bad = tmp_path / "bad.csv"
+    for text, match in (("lambda,psi\n0.0,0.0\nx,1.0\n", "line 3: non-numeric"),
+                        ("lambda,psi\n0.0,0.0\n1.0,0.5,9\n", "line 3: row has 3 cells"),
+                        ("lambda\n0.0\n1.0\n", "line 1: expected two columns"),
+                        ("lambda,psi\n0.0,0.0\n1.0,nan\n2.0,2.0\n", "nondecreasing")):
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            Tabulated.from_csv(bad)
 
 
 def test_mixture_validation_and_domain():

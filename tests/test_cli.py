@@ -284,6 +284,58 @@ def test_bad_config_file_exit_2(tmp_path, capsys):
     assert "line 2: unknown key 'bogus'" in err
 
 
+def test_nan_option_exit_2(tmp_path, capsys):
+    for argv in (["bound", "--family", "gaussian", "--sigma", "1", "--I", "nan"],
+                 ["bound", "--family", "gaussian", "--sigma", "nan", "--I", "1"],
+                 ["bound", "--family", "pnorm", "--beta", "nan", "--sigma", "1",
+                  "--i-alpha", "1"],
+                 ["bound", "--family", "pnorm", "--beta", "2", "--sigma", "1",
+                  "--i-alpha", "nan"],
+                 ["simulate", "--n", "3", "--trials", "50", "--alphas", "2,nan"]):
+        with pytest.raises(SystemExit) as exc:  # the argument parser's exit
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid" in capsys.readouterr().err
+    p = tmp_path / "nan.cfg"
+    p.write_text("family = gaussian\nsigma = 1.0\ninfo = nan\n")
+    code, out, err = run_cli(capsys, ["bound", "--config", str(p)])
+    assert (code, out) == (2, "")
+    assert err == (f"error: {p}: line 3: invalid value for 'info': "
+                   "expected a number, got 'nan'\n")
+    # inf stays a valid value
+    got = run_json(capsys, ["bound", "--family", "pnorm", "--beta", "inf", "--sigma", "1",
+                            "--i-alpha", "1"])
+    assert got["meta"]["alpha"] == 1.0
+
+
+def test_bad_input_files_exit_2(tmp_path, capsys):
+    files = {"joint": ",b0,b1\nt0,0.5,nan\nt1,0.0,0.5\n",
+             "pt": "p\n0.5\nnan\n0.5\n",
+             "env": "lambda,psi\n0.0,0.0\n0.5,nan\n1.0,0.5\n",
+             "wide_pt": "p\n0.5,0.1\n0.5\n",
+             "empty": ""}
+    for name, text in files.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    for argv, message in (
+            (["bound", "--family", "pnorm", "--beta", "2", "--sigma", "1",
+              "--joint", "joint.csv"], "joint table entries must be nonnegative"),
+            (["estimate", "--joint", "joint.csv"],
+             "joint table entries must be nonnegative"),
+            (["bound", "--family", "gaussian", "--sigma", "1", "--I", "1",
+              "--p-t", "pt.csv"], "probabilities must be nonnegative"),
+            (["bound", "--family", "tabulated", "--I", "1", "--envelope", "env.csv"],
+             "envelope values must be nondecreasing"),
+            (["bound", "--family", "gaussian", "--sigma", "1", "--I", "1",
+              "--p-t", "wide_pt.csv"],
+             "wide_pt.csv: line 2: row has 2 cells, header has 1"),
+            (["estimate", "--joint", "empty.csv"],
+             "empty.csv: line 1: expected a header line")):
+        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.endswith(message + "\n")
+
+
 def test_bound_csv_format(capsys):
     code, out, _ = run_cli(capsys, ["bound", "--family", "gaussian", "--sigma", "1",
                                     "--I", "1", "--format", "csv"])
@@ -493,3 +545,11 @@ def test_norms_bad_inputs_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["norms", "--data", str(path), "--psi", "power:2"])
     assert code == 2
     assert "NaN" in err
+    path.write_text("value,weight\n1.0,0.5\n2.0\n")
+    code, _, err = run_cli(capsys, ["norms", "--data", str(path), "--psi", "power:2"])
+    assert code == 2
+    assert "line 3: row has 1 cells, header has 2" in err
+    path.write_text("value,weight,extra\n1.0,0.5,0\n2.0,0.5,0\n")
+    code, _, err = run_cli(capsys, ["norms", "--data", str(path), "--psi", "power:2"])
+    assert code == 2
+    assert "line 1: expected columns value or value,weight" in err

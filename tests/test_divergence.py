@@ -220,6 +220,8 @@ def test_joint_validation():
         DiscreteJoint([[0.5, 0.6], [0.0, 0.0]])  # mass > 1
     with pytest.raises(ValueError):
         DiscreteJoint([[0.5, -0.1], [0.3, 0.3]])  # negative
+    with pytest.raises(ValueError, match="nonnegative"):
+        DiscreteJoint([[0.5, math.nan], [0.0, 0.5]])  # NaN: its mass test passes
     with pytest.raises(ValueError):
         DiscreteJoint([0.5, 0.5])  # 1-D
     j = DiscreteJoint([[0.25, 0.25], [0.25, 0.25]])
@@ -256,6 +258,9 @@ def test_joint_csv_errors(tmp_path):
     short.write_text(",b0,b1\nt0,0.5\n")
     with pytest.raises(ValueError, match="line 2"):
         DiscreteJoint.from_csv(short)
+    short.write_text("t\nt0\n")
+    with pytest.raises(ValueError, match="line 1: expected a header row"):
+        DiscreteJoint.from_csv(short)
 
 
 def test_merge_cols_labels():
@@ -274,3 +279,9 @@ def test_probability_vector_round_trip(tmp_path):
     assert np.array_equal(p, back)
     with pytest.raises(ValueError):
         save_probability_vector([0.2, 0.2], path)
+    for text, match in (("p\n0.5\nnan\n0.5\n", "nonnegative"),
+                        ("p\n0.5,0.1\n0.5\n", "line 2: row has 2 cells, header has 1"),
+                        ("p,q\n0.5,0.5\n", "line 1: expected one column")):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            load_probability_vector(path)

@@ -152,6 +152,9 @@ def test_inverse_of_psi():
     # far from unit scale, against the closed forms y**(1/p) and log1p(y)
     assert psi.inverse(1e-300) == pytest.approx(1e-300 ** 0.5, rel=1e-13, abs=0)
     assert e.inverse(1e-200) == pytest.approx(math.log1p(1e-200), rel=1e-13, abs=0)
+    # psi(u) overflows to inf at a finite u, but never reaches inf
+    assert psi.inverse(math.inf) == math.inf
+    assert e.inverse(math.inf) == math.inf
 
 
 def test_generalized_holder():

@@ -12,9 +12,9 @@ diffing the output.
 
 The corpus covers every subcommand, every model with every rule,
 non-default model, rule and sampling parameters, CSV and JSON output,
-config files, and the exit-2 and exit-3 paths.  Argument-parser errors are
-left out on purpose: their usage line lists options in declaration order,
-which is not part of the interface.
+config files, malformed or NaN-carrying input files, and the exit-2 and
+exit-3 paths.  Argument-parser errors are left out on purpose: their usage
+line lists options in declaration order, which is not part of the interface.
 """
 
 from __future__ import annotations
@@ -48,6 +48,12 @@ FILES = {
                      "trials = 300\nseed = 7\nalphas = 1.25\n"),
     "sweep.cfg": "model = exponential\nrate = 0.5\nn_list = 5,12\ntrials = 300\n",
     "bad.cfg": "family = gaussian\nbogus = 1\n",
+    "nan_joint.csv": ",b0,b1\nt0,0.5,nan\nt1,0.0,0.5\n",
+    "nan_pt.csv": "p\n0.5\nnan\n0.5\n",
+    "nan_env.csv": "lambda,psi\n0.0,0.0\n0.5,nan\n1.0,0.5\n",
+    "wide_pt.csv": "p\n0.5,0.1\n0.5\n",
+    "short_weight.csv": "value,weight\n1.0,0.5\n2.0\n",
+    "nan.cfg": "family = gaussian\nsigma = 1.0\ninfo = nan\n",
 }
 
 SIM = ["simulate", "--n", "6", "--trials", "400", "--seed", "3"]
@@ -104,6 +110,15 @@ CORPUS = [
                                              "--sigma", "1,50", "--b", "1", "--I", "1"]),
     ("bound-err-out-missing-dir", ["bound", "--family", "gaussian", "--sigma", "1",
                                    "--I", "1", "--out", "{tmp}/missing/report.json"]),
+    ("bound-err-nan-joint", ["bound", "--family", "pnorm", "--beta", "2", "--sigma", "1",
+                             "--joint", "{tmp}/nan_joint.csv"]),
+    ("bound-err-nan-pt", ["bound", "--family", "gaussian", "--sigma", "1", "--I", "1",
+                          "--p-t", "{tmp}/nan_pt.csv"]),
+    ("bound-err-nan-envelope", ["bound", "--family", "tabulated", "--I", "1",
+                                "--envelope", "{tmp}/nan_env.csv"]),
+    ("bound-err-wide-pt", ["bound", "--family", "gaussian", "--sigma", "1", "--I", "1",
+                           "--p-t", "{tmp}/wide_pt.csv"]),
+    ("bound-err-nan-config", ["bound", "--config", "{tmp}/nan.cfg"]),
 ]
 
 for model in ("gaussian", "exponential", "heavytail"):
@@ -150,6 +165,7 @@ CORPUS += [
     ("estimate-err-missing", ["estimate"]),
     ("estimate-err-invalid", ["estimate", "--joint", "{tmp}/bad_joint.csv"]),
     ("estimate-err-no-file", ["estimate", "--joint", "{tmp}/missing.csv"]),
+    ("estimate-err-nan", ["estimate", "--joint", "{tmp}/nan_joint.csv"]),
     ("norms-power", ["norms", "--data", "{tmp}/data.csv", "--psi", "power:2"]),
     ("norms-scaled-weighted", ["norms", "--data", "{tmp}/weighted.csv", "--psi", "scaled:3"]),
     ("norms-exp", ["norms", "--data", "{tmp}/data.csv", "--psi", "exp"]),
@@ -159,6 +175,8 @@ CORPUS += [
     ("norms-err-nan", ["norms", "--data", "{tmp}/nan.csv", "--psi", "power:2"]),
     ("norms-err-bad-data", ["norms", "--data", "{tmp}/bad_data.csv", "--psi", "power:2"]),
     ("norms-err-psi", ["norms", "--data", "{tmp}/data.csv", "--psi", "huh"]),
+    ("norms-err-short-row", ["norms", "--data", "{tmp}/short_weight.csv",
+                             "--psi", "power:2"]),
 ]
 
 
