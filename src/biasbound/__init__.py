@@ -25,7 +25,7 @@ from .bounds import (BoundReport, SubexponentialBound, UniformPnormBound,
 from .orlicz import (NumericDivergence, OrliczFunction, amemiya_norm,
                      exp_orlicz, holder_check, luxemburg_norm,
                      orlicz_bias_bound, power_orlicz, scaled_power_orlicz)
-from .simulate import (ArgMax, ArgMin, CustomIID, ExperimentResult,
+from .simulate import (ArgMax, ArgMin, ExperimentResult,
                        ExponentialIID, FixedIndex, GaussianIID, HeavyTailIID,
                        SoftMax, SweepRow, TopKUniform,
                        extreme_norming_constant, frechet_mean,

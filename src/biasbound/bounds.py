@@ -55,7 +55,7 @@ def conjugate_exponent(beta: float) -> float:
 
 def _sigma_vector(sigmas, p_t=None) -> Tuple[np.ndarray, np.ndarray]:
     s = np.atleast_1d(np.asarray(sigmas, dtype=float))
-    if np.any(s < 0):
+    if not np.all(s >= 0):
         raise ValueError("sigma values must be nonnegative")
     if p_t is None:
         p = np.full(s.size, 1.0 / s.size)
@@ -65,7 +65,7 @@ def _sigma_vector(sigmas, p_t=None) -> Tuple[np.ndarray, np.ndarray]:
             s = np.full(p.size, s[0])
         if p.shape != s.shape:
             raise ValueError("p_t length must match the number of sigma values")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+        if not np.all(p >= 0) or abs(p.sum() - 1.0) > 1e-9:
             raise ValueError("p_t must be a probability vector")
     return s, p
 

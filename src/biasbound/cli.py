@@ -64,13 +64,26 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
-# value kinds: (parse, serialize); parse is also the flag's argparse type
-_INT = (int, str)
-_STR = (str, str)
-_FLOAT = (_parse_float, lambda v: repr(float(v)))
-_FLOATS = (_parse_floats, lambda v: ",".join(repr(float(x)) for x in v))
-_INTS = (_parse_ints, lambda v: ",".join(str(int(x)) for x in v))
-_BOOL = (_parse_bool, lambda v: "true" if v else "false")
+# value kinds: (parse, serialize, what a flag's parser error calls the value)
+_INT = (int, str, "integer")
+_STR = (str, str, "string")
+_FLOAT = (_parse_float, lambda v: repr(float(v)), "number")
+_FLOATS = (_parse_floats, lambda v: ",".join(repr(float(x)) for x in v), "list of numbers")
+_INTS = (_parse_ints, lambda v: ",".join(str(int(x)) for x in v), "list of integers")
+_BOOL = (_parse_bool, lambda v: "true" if v else "false", "boolean")
+
+
+def _flag_type(kind):
+    """The argparse type of a flag: parse, with errors like ``invalid number: 'abc'``."""
+    parse, _, what = kind
+
+    def convert(s: str):
+        try:
+            return parse(s)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {what}: {s!r}") from None
+    return convert
+
 
 _COMMANDS = {
     "bound": "evaluate closed-form / numeric bias bounds",
@@ -203,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
         flags = f.metadata["flags"] or ("--" + f.name.replace("_", "-"),)
         extras = dict(f.metadata["extras"])
         if "action" not in extras:
-            extras["type"] = f.metadata["kind"][0]
+            extras["type"] = _flag_type(f.metadata["kind"])
         for command in f.metadata["commands"]:
             parsers[command].add_argument(*flags, dest=f.name, default=None, **extras)
     return ap

@@ -104,7 +104,7 @@ def _as_measure(x) -> np.ndarray:
     if isinstance(x, DiscreteJoint):
         return x.p
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):
         raise ValueError("measure entries must be nonnegative")
     return arr
 

@@ -1,10 +1,15 @@
 """Seeded Monte Carlo for selection bias, with extreme-value helpers.
 
 Each trial t draws n i.i.d. coordinates from a measurement model via the
-inverse-CDF transform of per-trial uniforms, applies a selection rule to
-pick an index T, and records phi_T.  Trials use counter-based Philox
-substreams keyed by (seed, trial), so results are bit-identical for any
-worker count and any subset of trials.
+inverse-CDF transform of uniforms, applies a selection rule to pick an index
+T, and records phi_T.  Seed contract: trial t's uniforms are the first n
+doubles of the Philox stream with key [seed, t] (two 64-bit words) and
+counter 0; top-k and softmax take the next double for their random choice.
+So results are bit-identical for any ``workers`` value and any subset of
+trials.  Each 1024-trial chunk owns one Philox generator and resets it to
+each trial's key, so the only per-trial work is filling one row of a
+(rows, n) tile of uniforms; rules and models act on whole tiles, row by row,
+and sums over trials are added in trial order.
 
 Rules that depend only on the ordering of coordinates (argmax, argmin,
 fixed, top-k) are applied to the uniforms directly: a strictly increasing
@@ -20,7 +25,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import integrate, special
@@ -33,7 +38,6 @@ __all__ = [
     "GaussianIID",
     "ExponentialIID",
     "HeavyTailIID",
-    "CustomIID",
     "ArgMax",
     "ArgMin",
     "FixedIndex",
@@ -52,6 +56,7 @@ __all__ = [
 ]
 
 _CHUNK = 1024  # fixed trial-chunk size: partial sums combine in chunk order
+_TILE = 8192  # doubles per tile of uniforms (64 KiB); a tile has max(1, _TILE // n) rows
 
 
 # ---------------------------------------------------------------------------
@@ -223,38 +228,13 @@ class HeavyTailIID:
         return f"heavytail(beta={self.beta:g},c={self.c:g},x0={self.x0:g})"
 
 
-@dataclass(frozen=True)
-class CustomIID:
-    """User-supplied inverse CDF with a known mean."""
-
-    inverse_cdf_fn: Callable
-    mean_value: float
-    n: int = 10
-    continuous: bool = True
-    name: str = "custom"
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-
-    @property
-    def mean(self) -> float:
-        return self.mean_value
-
-    def inverse_cdf(self, u):
-        return self.inverse_cdf_fn(np.asarray(u, dtype=float))
-
-    @property
-    def cgf_envelope(self) -> Optional[CgfEnvelope]:
-        return None
-
-    @property
-    def label(self) -> str:
-        return f"custom({self.name})"
-
-
 # ---------------------------------------------------------------------------
 # selection rules
+#
+# Rules act row-wise on a (rows, n) tile v of values: select(v, r, q) returns
+# one index per row.  Randomized rules (deterministic = False) get r, one
+# extra uniform per row, and q = conditional_probs(v), the (rows, n) matrix of
+# P(T = i | row), which the engine computes once per tile.
 
 @dataclass(frozen=True)
 class ArgMax:
@@ -262,13 +242,8 @@ class ArgMax:
     needs_values = False
     label = "argmax"
 
-    def select(self, v, rng) -> int:
-        return int(np.argmax(v))  # ties resolve to the lowest index
-
-    def conditional_probs(self, v) -> np.ndarray:
-        q = np.zeros(len(v))
-        q[int(np.argmax(v))] = 1.0
-        return q
+    def select(self, v, r=None, q=None):
+        return np.argmax(v, axis=-1)  # ties resolve to the lowest index
 
 
 @dataclass(frozen=True)
@@ -277,13 +252,8 @@ class ArgMin:
     needs_values = False
     label = "argmin"
 
-    def select(self, v, rng) -> int:
-        return int(np.argmin(v))
-
-    def conditional_probs(self, v) -> np.ndarray:
-        q = np.zeros(len(v))
-        q[int(np.argmin(v))] = 1.0
-        return q
+    def select(self, v, r=None, q=None):
+        return np.argmin(v, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -300,13 +270,8 @@ class FixedIndex:
     def label(self) -> str:
         return f"fixed({self.index})"
 
-    def select(self, v, rng) -> int:
-        return self.index
-
-    def conditional_probs(self, v) -> np.ndarray:
-        q = np.zeros(len(v))
-        q[self.index] = 1.0
-        return q
+    def select(self, v, r=None, q=None):
+        return np.full(np.shape(v)[:-1], self.index)
 
 
 @dataclass(frozen=True)
@@ -326,16 +291,15 @@ class TopKUniform:
         return f"topk({self.k})"
 
     def _top(self, v) -> np.ndarray:
-        return np.argsort(-np.asarray(v), kind="stable")[:self.k]
+        return np.argsort(-np.asarray(v), axis=-1, kind="stable")[..., :self.k]
 
-    def select(self, v, rng) -> int:
-        top = self._top(v)
-        j = min(int(rng.random() * self.k), self.k - 1)
-        return int(top[j])
+    def select(self, v, r, q=None):
+        j = np.minimum((r * self.k).astype(np.int64), self.k - 1)
+        return np.take_along_axis(self._top(v), j[:, None], axis=1)[:, 0]
 
     def conditional_probs(self, v) -> np.ndarray:
-        q = np.zeros(len(v))
-        q[self._top(v)] = 1.0 / self.k
+        q = np.zeros(np.shape(v))
+        np.put_along_axis(q, self._top(v), 1.0 / self.k, axis=-1)
         return q
 
 
@@ -357,22 +321,18 @@ class SoftMax:
 
     def conditional_probs(self, v) -> np.ndarray:
         z = np.asarray(v, dtype=float) / self.temperature
-        z = z - z.max()
+        z = z - z.max(axis=-1, keepdims=True)
         p = np.exp(z)
-        return p / p.sum()
+        return p / p.sum(axis=-1, keepdims=True)
 
-    def select(self, v, rng) -> int:
-        p = self.conditional_probs(v)
-        r = rng.random()
-        return min(int(np.searchsorted(np.cumsum(p), r, side="right")), len(p) - 1)
+    def select(self, v, r, q):
+        # the count of cumulative probabilities <= r is searchsorted(side="right")
+        k = (np.cumsum(q, axis=-1) <= r[:, None]).sum(axis=-1)
+        return np.minimum(k, q.shape[-1] - 1)
 
 
 # ---------------------------------------------------------------------------
 # engine
-
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, trial]))
-
 
 @dataclass(eq=False)
 class ExperimentResult:
@@ -399,33 +359,21 @@ class ExperimentResult:
     t_counts: np.ndarray
     i_plugin: float
     i_alpha_plugin: Dict[str, float]
-    i_rule: Optional[float]
-    i_alpha_rule: Optional[Dict[str, float]]
+    i_rule: float
+    i_alpha_rule: Dict[str, float]
     analytic_i: Optional[float]
     analytic_i_alpha: Optional[Dict[str, float]]
 
-    def best_i(self) -> Optional[float]:
-        """Best available dependence value: analytic, else rule-based, else plug-in."""
-        if self.analytic_i is not None:
-            return self.analytic_i
-        if self.i_rule is not None:
-            return self.i_rule
-        return self.i_plugin
+    def best_i(self) -> float:
+        """Best available dependence value: analytic, else rule-based."""
+        return self.i_rule if self.analytic_i is None else self.analytic_i
 
     def best_i_alpha(self) -> Dict[str, float]:
-        if self.analytic_i_alpha is not None:
-            return self.analytic_i_alpha
-        if self.i_alpha_rule is not None:
-            return self.i_alpha_rule
-        return self.i_alpha_plugin
+        return self.i_alpha_rule if self.analytic_i_alpha is None else self.analytic_i_alpha
 
 
 def _alpha_key(alpha: float) -> str:
     return f"{float(alpha):g}"
-
-
-def _chunk_ranges(trials: int) -> List[Tuple[int, int]]:
-    return [(lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)]
 
 
 def run_experiment(model, rule, trials: int, seed: int = 0, *,
@@ -459,30 +407,10 @@ def run_experiment(model, rule, trials: int, seed: int = 0, *,
         raise ValueError("fixed index out of range")
     if isinstance(rule, TopKUniform) and rule.k > n:
         raise ValueError("top-k rule needs k <= n")
+    alphas = list(alphas)
 
-    t_idx = np.empty(trials, dtype=np.int64)
-    u_sel = np.empty(trials, dtype=float)
-    u_probe = np.empty(trials, dtype=float)
-    randomized = not rule.deterministic
-
-    def main_chunk(lo: int, hi: int):
-        q_sum = np.zeros(n) if randomized else None
-        q_ln_q = 0.0
-        for t in range(lo, hi):
-            rng = _trial_rng(seed, t)
-            u = rng.random(n)
-            v = model.inverse_cdf(u) if rule.needs_values else u
-            k = rule.select(v, rng)
-            t_idx[t] = k
-            u_sel[t] = u[k]
-            u_probe[t] = u[probe]
-            if randomized:
-                q = rule.conditional_probs(v)
-                q_sum += q
-                q_ln_q += float(np.sum(special.xlogy(q, q)))
-        return q_sum, q_ln_q
-
-    partials = _run_chunks(main_chunk, trials, workers)
+    t_idx, u_sel, u_probe, q_sum, q_ln_q = _main_pass(model, rule, trials, seed, probe,
+                                                      workers)
 
     phi_sel = np.asarray(model.inverse_cdf(u_sel), dtype=float)
     deviations = phi_sel - model.mean
@@ -506,21 +434,17 @@ def run_experiment(model, rule, trials: int, seed: int = 0, *,
     t_counts = np.bincount(t_idx, minlength=n)
     p_hat = t_counts / trials
 
-    if randomized:
-        q_sum = np.zeros(n)
-        q_ln_q = 0.0
-        for qs, ql in partials:
-            q_sum += qs
-            q_ln_q += ql
-        p_bar = q_sum / trials
-        i_rule = max(0.0, -float(np.sum(special.xlogy(p_bar, p_bar)))
-                     + q_ln_q / trials)
-        i_alpha_rule = _randomized_alpha_pass(
-            model, rule, trials, seed, p_bar, alphas, workers)
-    else:
+    if rule.deterministic:
         i_rule = max(0.0, -float(np.sum(special.xlogy(p_hat, p_hat))))
         i_alpha_rule = {_alpha_key(a): alpha_mi_marginal_bound(p_hat, a)
                         for a in alphas}
+    else:
+        p_bar = q_sum / trials
+        i_rule = max(0.0, -float(np.sum(special.xlogy(p_bar, p_bar)))
+                     + q_ln_q / trials)
+        totals = _alpha_pass(model, rule, trials, seed, p_bar, alphas, workers)
+        i_alpha_rule = {_alpha_key(a): max(0.0, float(totals[j]) / trials)
+                        for j, a in enumerate(alphas)}
 
     analytic_i = None
     analytic_i_alpha = None
@@ -544,7 +468,7 @@ def run_experiment(model, rule, trials: int, seed: int = 0, *,
 
 
 def _run_chunks(chunk_fn, trials: int, workers: int):
-    ranges = _chunk_ranges(trials)
+    ranges = [(lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)]
     if int(workers) <= 1:
         return [chunk_fn(lo, hi) for lo, hi in ranges]
     with ThreadPoolExecutor(max_workers=int(workers)) as pool:
@@ -552,29 +476,94 @@ def _run_chunks(chunk_fn, trials: int, workers: int):
         return [f.result() for f in futures]  # combined in chunk order
 
 
-def _randomized_alpha_pass(model, rule, trials, seed, p_bar, alphas, workers):
-    """E_phi sum_i p_bar_i |q_i/p_bar_i - 1|^alpha via a deterministic replay."""
+def _tiles(seed: int, lo: int, hi: int, n: int, extra: bool):
+    """Yield (start, u, r) for trials lo..hi-1 of one chunk: row i of u is the
+    first n doubles of the Philox stream keyed [seed, start + i] (counter 0),
+    and r[i] its next double when ``extra`` (else r is None).  The buffers are
+    reused, so a tile is valid until the next one is yielded."""
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0)},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    rows = max(1, _TILE // n)
+    u = np.empty((rows, n))
+    r = np.empty(rows) if extra else None
+    for start in range(lo, hi, rows):
+        m = min(rows, hi - start)
+        for i in range(m):
+            state["state"]["key"] = (seed, start + i)
+            bitgen.state = state  # counter 0, empty buffer
+            gen.random(out=u[i])
+            if extra:
+                r[i] = gen.random()
+        yield start, u[:m], None if r is None else r[:m]
+
+
+def _in_order_sum(acc, rows):
+    """acc + rows[0] + rows[1] + ..., added one row at a time in order."""
+    return np.cumsum(np.concatenate([np.asarray(acc)[None], rows]), axis=0)[-1]
+
+
+def _main_pass(model, rule, trials, seed, probe, workers):
+    """Per trial: the selected index, its uniform and the probe uniform.
+
+    A randomized rule also gives sum_t q_t and sum_t sum_i q_ti ln q_ti, for
+    q_t = P(T | trial t); a deterministic one gives zeros there.
+    """
+    n = model.n
+    t_idx = np.empty(trials, dtype=np.int64)
+    u_sel = np.empty(trials, dtype=float)
+    u_probe = np.empty(trials, dtype=float)
+    randomized = not rule.deterministic
+
+    def chunk(lo: int, hi: int):
+        q_sum = np.zeros(n)
+        q_ln_q = 0.0
+        for start, u, r in _tiles(seed, lo, hi, n, randomized):
+            v = model.inverse_cdf(u) if rule.needs_values else u
+            q = rule.conditional_probs(v) if randomized else None
+            k = rule.select(v, r, q)
+            rows = slice(start, start + len(u))
+            t_idx[rows] = k
+            u_sel[rows] = u[np.arange(len(u)), k]
+            u_probe[rows] = u[:, probe]
+            if randomized:
+                q_sum = _in_order_sum(q_sum, q)
+                q_ln_q = float(_in_order_sum(q_ln_q, special.xlogy(q, q).sum(axis=1)))
+        return q_sum, q_ln_q
+
+    q_sum = np.zeros(n)
+    q_ln_q = 0.0
+    for qs, ql in _run_chunks(chunk, trials, workers):
+        q_sum += qs
+        q_ln_q += ql
+    return t_idx, u_sel, u_probe, q_sum, q_ln_q
+
+
+def _alpha_pass(model, rule, trials, seed, p_bar, alphas, workers) -> np.ndarray:
+    """sum_t sum_i p_bar_i |q_ti/p_bar_i - 1|^alpha per alpha, by replaying
+    the trials: the sum needs p_bar, which is known only after every trial."""
     support = p_bar > 0
     ps = p_bar[support]
-    alphas = list(alphas)
 
     def chunk(lo: int, hi: int):
         acc = np.zeros(len(alphas))
-        for t in range(lo, hi):
-            rng = _trial_rng(seed, t)
-            u = rng.random(model.n)
+        for _, u, _ in _tiles(seed, lo, hi, model.n, False):
             v = model.inverse_cdf(u) if rule.needs_values else u
-            q = rule.conditional_probs(v)[support]
+            # compress keeps rows C-contiguous (q[:, support] would not), so each
+            # row sums pairwise exactly like the 1-D sum of one trial
+            q = np.compress(support, rule.conditional_probs(v), axis=1)
             ratio_dev = np.abs(q / ps - 1.0)
+            sums = np.empty((len(u), len(alphas)))
             for j, a in enumerate(alphas):
-                acc[j] += float(np.sum(ps * ratio_dev ** a))
+                sums[:, j] = (ps * ratio_dev ** a).sum(axis=1)
+            acc = _in_order_sum(acc, sums)
         return acc
 
     totals = np.zeros(len(alphas))
     for acc in _run_chunks(chunk, trials, workers):
         totals += acc
-    return {_alpha_key(a): max(0.0, float(totals[j]) / trials)
-            for j, a in enumerate(alphas)}
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -622,10 +611,7 @@ def norming_constant(model, n: int) -> float:
         return extreme_norming_constant(model, n)
     if isinstance(model, GaussianIID):
         return model.mu + model.sigma * math.sqrt(2.0 * math.log(n))
-    if n == 1:
-        lo = model.inverse_cdf(np.array([0.0]))
-        return float(lo[0]) if np.ndim(lo) else float(lo)
-    return float(np.asarray(model.inverse_cdf(np.array([1.0 - 1.0 / n])))[0])
+    return float(model.inverse_cdf(np.array([1.0 - 1.0 / n]))[0])
 
 
 # ---------------------------------------------------------------------------

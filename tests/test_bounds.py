@@ -199,3 +199,12 @@ def test_bound_report_json_and_csv():
     rep.add_bound("inf", math.inf)
     assert json.loads(rep.to_json())["bounds"][1]["value"] is None
     assert "nan" in rep.to_csv()
+
+
+def test_nan_sigma_or_pt_raises():
+    with pytest.raises(ValueError, match="sigma values must be nonnegative"):
+        gaussian_bound([math.nan], 1.0)
+    with pytest.raises(ValueError, match="sigma values must be nonnegative"):
+        pnorm_bound(math.nan, None, 2.0, 1.0)
+    with pytest.raises(ValueError, match="p_t must be a probability vector"):
+        pnorm_bound([1.0], [math.nan], 2.0, 1.0)

@@ -308,6 +308,37 @@ def test_nan_option_exit_2(tmp_path, capsys):
     assert got["meta"]["alpha"] == 1.0
 
 
+def rejects(convert, text):
+    try:
+        convert(text)
+    except argparse.ArgumentTypeError:
+        return True
+    return False
+
+
+def test_parser_errors_name_the_value_kind(capsys):
+    ap = _build_parser()
+    subparsers = next(a for a in ap._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    checked = set()
+    for command, p in subparsers.items():
+        for a in p._actions:
+            if a.type is None or not rejects(a.type, "abc"):
+                continue
+            with pytest.raises(SystemExit):
+                ap.parse_args([command, a.option_strings[0], "abc"])
+            err = capsys.readouterr().err
+            assert f"argument {'/'.join(a.option_strings)}: invalid " in err
+            assert "_parse" not in err
+            checked.add(a.dest)
+    assert {"beta", "sigma", "info", "trials", "n_list", "alphas"} <= checked
+    for flag, what in (("--beta", "number"), ("--sigma", "list of numbers")):
+        with pytest.raises(SystemExit):
+            main(["bound", "--family", "pnorm", flag, "abc"])
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {flag}: invalid {what}: 'abc'\n")
+
+
 def test_bad_input_files_exit_2(tmp_path, capsys):
     files = {"joint": ",b0,b1\nt0,0.5,nan\nt1,0.0,0.5\n",
              "pt": "p\n0.5\nnan\n0.5\n",

@@ -285,3 +285,10 @@ def test_probability_vector_round_trip(tmp_path):
         path.write_text(text)
         with pytest.raises(ValueError, match=match):
             load_probability_vector(path)
+
+
+def test_nan_measure_raises():
+    with pytest.raises(ValueError, match="measure entries must be nonnegative"):
+        phi_divergence([math.nan, 0.5], [0.5, 0.5], kl_generator())
+    with pytest.raises(ValueError, match="measure entries must be nonnegative"):
+        phi_divergence([0.5, 0.5], [0.5, math.nan], kl_generator())

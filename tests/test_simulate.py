@@ -1,14 +1,16 @@
 import dataclasses
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, special
 from scipy.special import lambertw
 from scipy.stats import norm
 
+from biasbound import simulate
 from biasbound.simulate import (ArgMax, ArgMin, ExponentialIID, FixedIndex,
                                 GaussianIID, HeavyTailIID, SoftMax,
                                 SWEEP_CSV_HEADER, TopKUniform,
@@ -349,3 +351,154 @@ def test_sweep_csv_byte_identical_across_workers():
     a = sweep_to_csv(tightness_sweep(model, [15, 40], trials=2000, seed=6, workers=1))
     b = sweep_to_csv(tightness_sweep(model, [15, 40], trials=2000, seed=6, workers=4))
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# stream contract: the tile engine against the per-trial loop it replaced
+
+def trial_rng(seed, t):
+    """Trial t's stream: Philox with key [seed, t] (two 64-bit words), counter 0."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, t], dtype=np.uint64)))
+
+
+def reference_rule(rule, v, rng):
+    """(index, q) from the 1-D rules; top-k and softmax draw one more double."""
+    if isinstance(rule, ArgMax):
+        return int(np.argmax(v)), None
+    if isinstance(rule, ArgMin):
+        return int(np.argmin(v)), None
+    if isinstance(rule, FixedIndex):
+        return rule.index, None
+    if isinstance(rule, TopKUniform):
+        top = np.argsort(-v, kind="stable")[:rule.k]
+        q = np.zeros(len(v))
+        q[top] = 1.0 / rule.k
+        return int(top[min(int(rng.random() * rule.k), rule.k - 1)]), q
+    z = v / rule.temperature
+    p = np.exp(z - z.max())
+    q = p / p.sum()
+    k = int(np.searchsorted(np.cumsum(q), rng.random(), side="right"))
+    return min(k, len(q) - 1), q
+
+
+def reference_main_pass(model, rule, trials, seed, probe, workers):
+    n = model.n
+    t_idx, u_sel, u_probe = np.empty(trials, np.int64), np.empty(trials), np.empty(trials)
+    q_sum, q_ln_q = np.zeros(n), 0.0
+    for lo in range(0, trials, 1024):  # per-chunk sums, added in chunk order
+        qs, ql = np.zeros(n), 0.0
+        for t in range(lo, min(lo + 1024, trials)):
+            rng = trial_rng(seed, t)
+            u = rng.random(n)
+            v = model.inverse_cdf(u) if rule.needs_values else u
+            t_idx[t], q = reference_rule(rule, v, rng)
+            u_sel[t], u_probe[t] = u[t_idx[t]], u[probe]
+            if q is not None:
+                qs += q
+                ql += float(np.sum(special.xlogy(q, q)))
+        q_sum += qs
+        q_ln_q += ql
+    return t_idx, u_sel, u_probe, q_sum, q_ln_q
+
+
+def reference_alpha_pass(model, rule, trials, seed, p_bar, alphas, workers):
+    support = p_bar > 0
+    ps = p_bar[support]
+    totals = np.zeros(len(alphas))
+    for lo in range(0, trials, 1024):
+        acc = np.zeros(len(alphas))
+        for t in range(lo, min(lo + 1024, trials)):
+            rng = trial_rng(seed, t)
+            u = rng.random(model.n)
+            v = model.inverse_cdf(u) if rule.needs_values else u
+            q = reference_rule(rule, v, rng)[1]
+            for j, a in enumerate(alphas):
+                acc[j] += float(np.sum(ps * np.abs(q[support] / ps - 1.0) ** a))
+        totals += acc
+    return totals
+
+
+def reference_experiment(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "_main_pass", reference_main_pass)
+        m.setattr(simulate, "_alpha_pass", reference_alpha_pass)
+        return run_experiment(*args, **kwargs)
+
+
+def assert_bit_equal(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert repr(x) == repr(y), f.name  # exact floats; nan == nan
+
+
+MODELS = [GaussianIID(mu=0.5, sigma=2.0), ExponentialIID(rate=2.0), HeavyTailIID()]
+RULES = [ArgMax(), ArgMin(), FixedIndex(2), TopKUniform(3), SoftMax(0.5)]
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.label)
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.label.split("(")[0])
+@pytest.mark.parametrize("n,trials,seed,workers", [
+    (100, 1100, 2 ** 64 - 1, 3),  # 81-row tiles that do not divide a chunk
+    (7, 1030, 5, 1),              # trials not a multiple of the chunk
+    (10_000, 9, 3, 2),            # n above the tile size: one row per tile
+])
+def test_tile_engine_matches_per_trial_reference(monkeypatch, model, rule, n, trials,
+                                                 seed, workers):
+    m = dataclasses.replace(model, n=n)
+    args = (m, rule, trials, seed)
+    kwargs = dict(probe=n - 1, alphas=(1.5, 2.0), workers=workers)
+    assert_bit_equal(run_experiment(*args, **kwargs),
+                     reference_experiment(monkeypatch, *args, **kwargs))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(1, 40),
+       trials=st.integers(1, 300), rule=st.integers(0, 4), model=st.integers(0, 2))
+def test_tile_engine_matches_reference_property(seed, n, trials, rule, model):
+    rule = [ArgMax(), ArgMin(), FixedIndex(n - 1), TopKUniform(min(3, n)),
+            SoftMax(0.7)][rule]
+    m = dataclasses.replace(MODELS[model], n=n)
+    with pytest.MonkeyPatch.context() as mp:
+        assert_bit_equal(run_experiment(m, rule, trials, seed),
+                         reference_experiment(mp, m, rule, trials, seed))
+
+
+def test_trial_stream_is_keyed_philox_and_any_subset_agrees():
+    n, seed = 300, 2 ** 64 - 1
+    for lo, hi in [(0, 1024), (1000, 1024), (2048, 2050)]:
+        for extra in (False, True):
+            for start, u, r in simulate._tiles(seed, lo, hi, n, extra):
+                assert u.shape == (min(simulate._TILE // n, hi - start), n)
+                for i, row in enumerate(u):
+                    rng = trial_rng(seed, start + i)
+                    assert np.array_equal(row, rng.random(n))
+                    if extra:
+                        assert r[i] == rng.random()
+                    else:
+                        assert r is None
+    # a run over fewer trials repeats the first trials of a longer one
+    model, rule = HeavyTailIID(n=30), SoftMax(0.5)
+    short = simulate._main_pass(model, rule, 700, 9, 0, 1)
+    long = simulate._main_pass(model, rule, 2100, 9, 0, 3)
+    for a, b in zip(short[:3], long[:3]):
+        assert np.array_equal(a, b[:700])
+    # every 64-bit seed is its own key: 2**64 - 1 is not seed 0
+    assert run_experiment(model, rule, 50, 2 ** 64 - 1).bias != \
+        run_experiment(model, rule, 50, 0).bias
+
+
+def test_threaded_chunks_match_serial_under_fast_switching():
+    # chunks write disjoint slices of shared arrays; more threads than cores
+    # and a short switch interval would expose a lost or misplaced write
+    model, rule = GaussianIID(n=20), SoftMax(0.5)
+    serial = run_experiment(model, rule, 6000, 4, alphas=(1.5,))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run_experiment(model, rule, 6000, 4, alphas=(1.5,), workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_bit_equal(serial, threaded)

@@ -144,6 +144,13 @@ CORPUS += [
     ("simulate-config", ["simulate", "--config", "{tmp}/simulate.cfg"]),
     ("simulate-config-override", ["simulate", "--config", "{tmp}/simulate.cfg",
                                   "--rule", "argmin", "--workers", "2"]),
+    # cross chunk (1024 trials) and tile (8192 doubles) boundaries
+    ("simulate-heavytail-softmax-n3000", ["simulate", "--model", "heavytail",
+                                          "--rule", "softmax:0.5", "--n", "3000",
+                                          "--trials", "1500", "--workers", "2"]),
+    ("simulate-exponential-topk-n257", ["simulate", "--model", "exponential",
+                                        "--rule", "topk:3", "--n", "257",
+                                        "--trials", "2049", "--workers", "3"]),
     ("simulate-err-rule", ["simulate", "--rule", "bogus"]),
     ("simulate-err-fixed-range", ["simulate", "--rule", "fixed:99", "--n", "4"]),
     ("simulate-err-topk-zero", ["simulate", "--rule", "topk:0"]),
