@@ -27,9 +27,8 @@ from .orlicz import (NumericDivergence, OrliczFunction, amemiya_norm,
                      orlicz_bias_bound, power_orlicz, scaled_power_orlicz)
 from .simulate import (ArgMax, ArgMin, ExperimentResult,
                        ExponentialIID, FixedIndex, GaussianIID, HeavyTailIID,
-                       SoftMax, SweepRow, TopKUniform,
-                       extreme_norming_constant, frechet_mean,
-                       heavy_tail_beta_norm, norming_constant, run_experiment,
+                       SoftMax, SweepRow, TopKUniform, bounds_for,
+                       frechet_mean, heavy_tail_beta_norm, run_experiment,
                        sweep_to_csv, tightness_sweep)
 
 __version__ = "0.1.0"

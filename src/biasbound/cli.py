@@ -358,36 +358,6 @@ def cmd_bound(cfg: RunConfig) -> bnd.BoundReport:
     return report
 
 
-def _simulation_bounds(report: bnd.BoundReport, model, rule,
-                       res: sim.ExperimentResult) -> None:
-    """MGF bounds from the model's CGF envelope when it has one, moment
-    bounds from its moment cap, and the matching expected-max baseline."""
-    i_alpha = res.best_i_alpha()
-    n = model.n
-    beta, sigma = model.moment_cap
-    env = model.cgf_envelope
-    if env is not None:
-        report.add_bound(f"mgf_{env.family}", env.inverse_conjugate(res.best_i()),
-                         side="upper")
-    else:
-        report.meta["beta_norm_uncentered"] = sigma
-    key = f"{bnd.conjugate_exponent(beta):g}"
-    if key in i_alpha:
-        report.add_bound("pnorm", bnd.pnorm_bound(sigma, None, beta, i_alpha[key]))
-    if beta >= 2:
-        ub = bnd.pnorm_uniform_bound(sigma, beta, n)
-        report.add_bound("pnorm_uniform", ub.value)
-        if env is None:
-            report.add_bound("pnorm_uniform_loose", ub.loose)
-    if isinstance(rule, (sim.ArgMax, sim.ArgMin)):
-        if env is not None:
-            report.add_bound("max_cgf", bnd.max_inequality_cgf_bound([env], n),
-                             side="expected_max")
-        else:
-            report.add_bound("max_beta", bnd.max_inequality_pnorm_bound(sigma, beta, n),
-                             side="expected_max")
-
-
 def cmd_simulate(cfg: RunConfig) -> bnd.BoundReport:
     model = _build_model(cfg)
     rule = _parse_rule(cfg.rule or "argmax")
@@ -406,12 +376,13 @@ def cmd_simulate(cfg: RunConfig) -> bnd.BoundReport:
               "n": model.n, "trials": res.trials, "seed": res.seed,
               "bins": res.bins, "probe": res.probe,
               "selected_mean": res.selected_mean,
-              "dependence_estimator": ("analytic" if res.analytic_i is not None
-                                       else "rule_conditional"),
-              "I_plugin": res.i_plugin},
+              "dependence_estimator": res.estimator, "I_plugin": res.i_plugin},
         empirical={"bias": res.bias, "stderr": res.stderr},
-        dependence={"I": res.best_i(), "I_alpha": res.best_i_alpha()})
-    _simulation_bounds(report, model, rule, res)
+        dependence={"I": res.i, "I_alpha": res.i_alpha})
+    if model.cgf_envelope is None:
+        report.meta["beta_norm_uncentered"] = model.moment_cap[1]
+    for name, (value, side) in sim.bounds_for(model, rule, res).items():
+        report.add_bound(name, value, side)
     return report
 
 

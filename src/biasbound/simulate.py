@@ -1,4 +1,4 @@
-"""Seeded Monte Carlo for selection bias, with extreme-value helpers.
+"""Seeded Monte Carlo for selection bias, with its bound table.
 
 Each trial t draws n i.i.d. coordinates from a measurement model via the
 inverse-CDF transform of uniforms, applies a selection rule to pick an index
@@ -16,6 +16,14 @@ fixed, top-k) are applied to the uniforms directly: a strictly increasing
 inverse CDF cannot change which index is selected, so only the selected and
 probe uniforms ever pass through the inverse CDF, which is closed-form for
 every built-in model (the heavy-tail one through the Wright omega function).
+
+Each model states its own facts (mean, CGF envelope, moment cap, norming
+constant a_n) and each rule its own dependence on the data: the exact I and
+I_alpha where a closed form exists (argmax, argmin, fixed, top-k).
+``bounds_for`` turns those facts into the named bounds that ``simulate``
+reports and ``sweep`` tabulates.  Only a rule without a closed form
+(softmax) has its dependence estimated, from its conditional distribution
+P(T | data) over the trials, which needs a second pass (a replay).
 """
 
 from __future__ import annotations
@@ -23,13 +31,15 @@ from __future__ import annotations
 import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import integrate, special
 
+from .bounds import (conjugate_exponent, max_inequality_cgf_bound,
+                     max_inequality_pnorm_bound, pnorm_bound, pnorm_uniform_bound)
 from .cgf import CgfEnvelope, SubGamma, SubGaussian
 from .divergence import (DiscreteJoint, alpha_mi_marginal_bound,
                          alpha_mutual_information, mutual_information)
@@ -45,10 +55,9 @@ __all__ = [
     "SoftMax",
     "run_experiment",
     "ExperimentResult",
-    "extreme_norming_constant",
+    "bounds_for",
     "heavy_tail_beta_norm",
     "frechet_mean",
-    "norming_constant",
     "tightness_sweep",
     "SweepRow",
     "sweep_to_csv",
@@ -76,11 +85,14 @@ class GaussianIID:
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
-    continuous = True
-
     @property
     def mean(self) -> float:
         return self.mu
+
+    @property
+    def norming_constant(self) -> float:
+        """a_n = mu + sigma * sqrt(2 ln n), the leading term of E[max]."""
+        return self.mu + self.sigma * math.sqrt(2.0 * math.log(self.n))
 
     def inverse_cdf(self, u):
         return self.mu + self.sigma * special.ndtri(u)
@@ -112,11 +124,14 @@ class ExponentialIID:
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
-    continuous = True
-
     @property
     def mean(self) -> float:
         return 1.0 / self.rate
+
+    @property
+    def norming_constant(self) -> float:
+        """a_n = ln(n) / rate, the 1 - 1/n quantile without rounding 1 - 1/n."""
+        return math.log(self.n) / self.rate
 
     def inverse_cdf(self, u):
         return -np.log1p(-np.asarray(u, dtype=float)) / self.rate
@@ -163,8 +178,6 @@ class HeavyTailIID:
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
-    continuous = True
-
     @property
     def _log_x0(self) -> float:
         return math.log(self.x0)
@@ -205,13 +218,12 @@ class HeavyTailIID:
 
     @cached_property
     def mean(self) -> float:
-        # E X = x0 + integral of the survival function; substitute y = ln x
-        L = self._log_x0
-        k0 = math.exp(self._log_k0)
-        tail, _ = integrate.quad(
-            lambda y: math.exp((1.0 - self.beta) * y) * y ** (-self.c),
-            L, math.inf, epsrel=1e-12, limit=200)
-        return self.x0 + k0 * tail
+        return heavy_tail_beta_norm(self, 1.0)
+
+    @property
+    def norming_constant(self) -> float:
+        """a_n with survival(a_n) = 1/n (a_1 = x0), valid past n = 2**53."""
+        return self.inverse_survival(1.0 / self.n)
 
     @property
     def cgf_envelope(self) -> Optional[CgfEnvelope]:
@@ -233,14 +245,33 @@ class HeavyTailIID:
 #
 # Rules act row-wise on a (rows, n) tile v of values: select(v, r, q) returns
 # one index per row.  Randomized rules (deterministic = False) get r, one
-# extra uniform per row, and q = conditional_probs(v), the (rows, n) matrix of
-# P(T = i | row), which the engine computes once per tile.
+# extra uniform per row.  dependence(n, alphas) checks the rule against n and
+# gives its exact (I, {alpha: I_alpha}) on any i.i.d. continuous model, or
+# None when there is no closed form; only then does the rule give
+# conditional_probs(v), the (rows, n) matrix of P(T = i | row), which the
+# engine computes once per tile and passes to select as q.  ``extreme`` rules
+# pick the largest or smallest coordinate, so expected-max baselines apply.
+
+def _alpha_key(alpha: float) -> str:
+    return f"{float(alpha):g}"
+
+
+def _deterministic_uniform(n: int, alphas):
+    """I and I_alpha of a deterministic T whose marginal is uniform on n cells."""
+    uniform = np.full(n, 1.0 / n)
+    return math.log(n), {_alpha_key(a): alpha_mi_marginal_bound(uniform, a)
+                         for a in alphas}
+
 
 @dataclass(frozen=True)
 class ArgMax:
     deterministic = True
     needs_values = False
+    extreme = True
     label = "argmax"
+
+    def dependence(self, n, alphas):
+        return _deterministic_uniform(n, alphas)
 
     def select(self, v, r=None, q=None):
         return np.argmax(v, axis=-1)  # ties resolve to the lowest index
@@ -250,7 +281,11 @@ class ArgMax:
 class ArgMin:
     deterministic = True
     needs_values = False
+    extreme = True
     label = "argmin"
+
+    def dependence(self, n, alphas):
+        return _deterministic_uniform(n, alphas)
 
     def select(self, v, r=None, q=None):
         return np.argmin(v, axis=-1)
@@ -261,6 +296,7 @@ class FixedIndex:
     index: int = 0
     deterministic = True
     needs_values = False
+    extreme = False
 
     def __post_init__(self):
         if self.index < 0:
@@ -269,6 +305,11 @@ class FixedIndex:
     @property
     def label(self) -> str:
         return f"fixed({self.index})"
+
+    def dependence(self, n, alphas):
+        if self.index >= n:
+            raise ValueError("fixed index out of range")
+        return 0.0, {_alpha_key(a): 0.0 for a in alphas}
 
     def select(self, v, r=None, q=None):
         return np.full(np.shape(v)[:-1], self.index)
@@ -281,6 +322,7 @@ class TopKUniform:
     k: int = 2
     deterministic = False
     needs_values = False
+    extreme = False
 
     def __post_init__(self):
         if self.k < 1:
@@ -290,17 +332,20 @@ class TopKUniform:
     def label(self) -> str:
         return f"topk({self.k})"
 
+    def dependence(self, n, alphas):
+        # T is uniform on n cells and, given the data, uniform on k of them
+        if self.k > n:
+            raise ValueError("top-k rule needs k <= n")
+        k = self.k
+        return math.log(n / k), {_alpha_key(a): k / n * (n / k - 1.0) ** a + (n - k) / n
+                                 for a in alphas}
+
     def _top(self, v) -> np.ndarray:
         return np.argsort(-np.asarray(v), axis=-1, kind="stable")[..., :self.k]
 
     def select(self, v, r, q=None):
         j = np.minimum((r * self.k).astype(np.int64), self.k - 1)
         return np.take_along_axis(self._top(v), j[:, None], axis=1)[:, 0]
-
-    def conditional_probs(self, v) -> np.ndarray:
-        q = np.zeros(np.shape(v))
-        np.put_along_axis(q, self._top(v), 1.0 / self.k, axis=-1)
-        return q
 
 
 @dataclass(frozen=True)
@@ -310,6 +355,7 @@ class SoftMax:
     temperature: float = 1.0
     deterministic = False
     needs_values = True
+    extreme = False
 
     def __post_init__(self):
         if not self.temperature > 0:
@@ -318,6 +364,9 @@ class SoftMax:
     @property
     def label(self) -> str:
         return f"softmax({self.temperature:g})"
+
+    def dependence(self, n, alphas):
+        return None  # estimated from conditional_probs
 
     def conditional_probs(self, v) -> np.ndarray:
         z = np.asarray(v, dtype=float) / self.temperature
@@ -338,12 +387,14 @@ class SoftMax:
 class ExperimentResult:
     """Outcome of a seeded selection experiment.
 
-    ``i_plugin`` / ``i_alpha_plugin`` are plug-in estimates from the joint of
-    (T, rank-binned probe coordinate); by data processing they lower-bound
-    the true dependence.  ``i_rule`` / ``i_alpha_rule`` use the rule's known
-    conditional distribution P(T | phi), which is sharp for randomized rules
-    where the probe route is far below the truth.  ``analytic_i`` is exact
-    and present only for deterministic rules on continuous i.i.d. models.
+    ``i`` and ``i_alpha`` are the dependence of T on the data, I(T; data)
+    and I_alpha keyed by alpha.  ``estimator`` says where they come from:
+    ``"analytic"`` is the rule's exact closed form (argmax, argmin, fixed,
+    top-k); ``"rule_conditional"`` averages the rule's known conditional
+    distribution P(T | data) over the trials (softmax).  ``i_plugin`` and
+    ``i_alpha_plugin`` are plug-in estimates from the joint of (T,
+    rank-binned probe coordinate); by data processing they lower-bound the
+    true dependence.
     """
 
     model_label: str
@@ -359,21 +410,9 @@ class ExperimentResult:
     t_counts: np.ndarray
     i_plugin: float
     i_alpha_plugin: Dict[str, float]
-    i_rule: float
-    i_alpha_rule: Dict[str, float]
-    analytic_i: Optional[float]
-    analytic_i_alpha: Optional[Dict[str, float]]
-
-    def best_i(self) -> float:
-        """Best available dependence value: analytic, else rule-based."""
-        return self.i_rule if self.analytic_i is None else self.analytic_i
-
-    def best_i_alpha(self) -> Dict[str, float]:
-        return self.i_alpha_rule if self.analytic_i_alpha is None else self.analytic_i_alpha
-
-
-def _alpha_key(alpha: float) -> str:
-    return f"{float(alpha):g}"
+    i: float
+    i_alpha: Dict[str, float]
+    estimator: str
 
 
 def run_experiment(model, rule, trials: int, seed: int = 0, *,
@@ -403,14 +442,11 @@ def run_experiment(model, rule, trials: int, seed: int = 0, *,
         raise ValueError("bins must be >= 2")
     if int(workers) < 1:
         raise ValueError("workers must be >= 1")
-    if isinstance(rule, FixedIndex) and rule.index >= n:
-        raise ValueError("fixed index out of range")
-    if isinstance(rule, TopKUniform) and rule.k > n:
-        raise ValueError("top-k rule needs k <= n")
     alphas = list(alphas)
+    exact = rule.dependence(n, alphas)
 
     t_idx, u_sel, u_probe, q_sum, q_ln_q = _main_pass(model, rule, trials, seed, probe,
-                                                      workers)
+                                                      workers, exact is None)
 
     phi_sel = np.asarray(model.inverse_cdf(u_sel), dtype=float)
     deviations = phi_sel - model.mean
@@ -431,40 +467,22 @@ def run_experiment(model, rule, trials: int, seed: int = 0, *,
     i_alpha_plugin = {_alpha_key(a): alpha_mutual_information(joint, a)
                       for a in alphas}
 
-    t_counts = np.bincount(t_idx, minlength=n)
-    p_hat = t_counts / trials
-
-    if rule.deterministic:
-        i_rule = max(0.0, -float(np.sum(special.xlogy(p_hat, p_hat))))
-        i_alpha_rule = {_alpha_key(a): alpha_mi_marginal_bound(p_hat, a)
-                        for a in alphas}
+    if exact is not None:
+        (i, i_alpha), estimator = exact, "analytic"
     else:
         p_bar = q_sum / trials
-        i_rule = max(0.0, -float(np.sum(special.xlogy(p_bar, p_bar)))
-                     + q_ln_q / trials)
+        i = max(0.0, -float(np.sum(special.xlogy(p_bar, p_bar))) + q_ln_q / trials)
         totals = _alpha_pass(model, rule, trials, seed, p_bar, alphas, workers)
-        i_alpha_rule = {_alpha_key(a): max(0.0, float(totals[j]) / trials)
-                        for j, a in enumerate(alphas)}
-
-    analytic_i = None
-    analytic_i_alpha = None
-    if getattr(model, "continuous", False):
-        if isinstance(rule, (ArgMax, ArgMin)):
-            analytic_i = math.log(n)
-            uniform = np.full(n, 1.0 / n)
-            analytic_i_alpha = {_alpha_key(a): alpha_mi_marginal_bound(uniform, a)
-                                for a in alphas}
-        elif isinstance(rule, FixedIndex):
-            analytic_i = 0.0
-            analytic_i_alpha = {_alpha_key(a): 0.0 for a in alphas}
+        i_alpha = {_alpha_key(a): max(0.0, float(totals[j]) / trials)
+                   for j, a in enumerate(alphas)}
+        estimator = "rule_conditional"
 
     return ExperimentResult(
         model_label=model.label, rule_label=rule.label, n=n, trials=trials,
         seed=seed, bins=bins, probe=probe, selected_mean=selected_mean,
-        bias=bias, stderr=stderr, t_counts=t_counts,
+        bias=bias, stderr=stderr, t_counts=np.bincount(t_idx, minlength=n),
         i_plugin=i_plugin, i_alpha_plugin=i_alpha_plugin,
-        i_rule=i_rule, i_alpha_rule=i_alpha_rule,
-        analytic_i=analytic_i, analytic_i_alpha=analytic_i_alpha)
+        i=i, i_alpha=i_alpha, estimator=estimator)
 
 
 def _run_chunks(chunk_fn, trials: int, workers: int):
@@ -504,30 +522,29 @@ def _in_order_sum(acc, rows):
     return np.cumsum(np.concatenate([np.asarray(acc)[None], rows]), axis=0)[-1]
 
 
-def _main_pass(model, rule, trials, seed, probe, workers):
+def _main_pass(model, rule, trials, seed, probe, workers, conditional):
     """Per trial: the selected index, its uniform and the probe uniform.
 
-    A randomized rule also gives sum_t q_t and sum_t sum_i q_ti ln q_ti, for
-    q_t = P(T | trial t); a deterministic one gives zeros there.
+    With ``conditional`` it also gives sum_t q_t and sum_t sum_i q_ti ln q_ti
+    for q_t = P(T | trial t) from the rule's conditional_probs; else zeros.
     """
     n = model.n
     t_idx = np.empty(trials, dtype=np.int64)
     u_sel = np.empty(trials, dtype=float)
     u_probe = np.empty(trials, dtype=float)
-    randomized = not rule.deterministic
 
     def chunk(lo: int, hi: int):
         q_sum = np.zeros(n)
         q_ln_q = 0.0
-        for start, u, r in _tiles(seed, lo, hi, n, randomized):
+        for start, u, r in _tiles(seed, lo, hi, n, not rule.deterministic):
             v = model.inverse_cdf(u) if rule.needs_values else u
-            q = rule.conditional_probs(v) if randomized else None
+            q = rule.conditional_probs(v) if conditional else None
             k = rule.select(v, r, q)
             rows = slice(start, start + len(u))
             t_idx[rows] = k
             u_sel[rows] = u[np.arange(len(u)), k]
             u_probe[rows] = u[:, probe]
-            if randomized:
+            if conditional:
                 q_sum = _in_order_sum(q_sum, q)
                 q_ln_q = float(_in_order_sum(q_ln_q, special.xlogy(q, q).sum(axis=1)))
         return q_sum, q_ln_q
@@ -569,14 +586,6 @@ def _alpha_pass(model, rule, trials, seed, p_bar, alphas, workers) -> np.ndarray
 # ---------------------------------------------------------------------------
 # extreme-value helpers
 
-def extreme_norming_constant(model: HeavyTailIID, n: int) -> float:
-    """a_n with survival(a_n) = 1/n (a_1 = x0), valid past n = 2**53."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return model.inverse_survival(1.0 / n)
-
-
 def heavy_tail_beta_norm(model: HeavyTailIID, s: Optional[float] = None) -> float:
     """(E X^s)^(1/s) for the heavy-tail model, s <= beta (default s = beta).
 
@@ -590,7 +599,7 @@ def heavy_tail_beta_norm(model: HeavyTailIID, s: Optional[float] = None) -> floa
     k0 = math.exp(model._log_k0)
     tail, _ = integrate.quad(
         lambda y: math.exp((s - model.beta) * y) * y ** (-model.c),
-        L, math.inf, epsrel=1e-9, limit=200)
+        L, math.inf, epsrel=1e-12, limit=200)
     return (model.x0 ** s + s * k0 * tail) ** (1.0 / s)
 
 
@@ -602,16 +611,40 @@ def frechet_mean(beta: float) -> float:
     return float(special.gamma(1.0 - 1.0 / beta))
 
 
-def norming_constant(model, n: int) -> float:
-    """Display norming a_n for expected-maximum ratios, per model family."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if isinstance(model, HeavyTailIID):
-        return extreme_norming_constant(model, n)
-    if isinstance(model, GaussianIID):
-        return model.mu + model.sigma * math.sqrt(2.0 * math.log(n))
-    return float(model.inverse_cdf(np.array([1.0 - 1.0 / n]))[0])
+# ---------------------------------------------------------------------------
+# bound table
+
+def bounds_for(model, rule, res: ExperimentResult) -> Dict[str, Tuple[float, str]]:
+    """The bounds a model's tail facts and a run's dependence give, as
+    name -> (value, side) in report order.
+
+    ``mgf_<family>`` from the model's CGF envelope, when it has one; ``pnorm``
+    from its moment cap (beta, sigma), when the run computed I_alpha at the
+    conjugate exponent of beta; for beta >= 2 the marginal-free cap
+    ``pnorm_uniform`` and, without an envelope, its looser closed form
+    ``pnorm_uniform_loose``; and for extreme rules the expected-max baseline
+    (``max_cgf`` or ``max_beta``).
+    """
+    n = model.n
+    beta, sigma = model.moment_cap
+    env = model.cgf_envelope
+    table = {}
+    if env is not None:
+        table[f"mgf_{env.family}"] = env.inverse_conjugate(res.i), "upper"
+    key = _alpha_key(conjugate_exponent(beta))
+    if key in res.i_alpha:
+        table["pnorm"] = pnorm_bound(sigma, None, beta, res.i_alpha[key]), "two_sided"
+    if beta >= 2:
+        ub = pnorm_uniform_bound(sigma, beta, n)
+        table["pnorm_uniform"] = ub.value, "two_sided"
+        if env is None:
+            table["pnorm_uniform_loose"] = ub.loose, "two_sided"
+    if rule.extreme:
+        if env is not None:
+            table["max_cgf"] = max_inequality_cgf_bound([env], n), "expected_max"
+        else:
+            table["max_beta"] = max_inequality_pnorm_bound(sigma, beta, n), "expected_max"
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -632,24 +665,14 @@ class SweepRow:
     ratio: float
 
 
-def _sweep_pnorm_bound(model, n: int) -> float:
-    if isinstance(model, HeavyTailIID):
-        alpha = model.beta / (model.beta - 1.0)
-        norm = heavy_tail_beta_norm(model)
-        return 2.0 ** (1.0 / alpha) * norm * n ** (1.0 / model.beta)
-    if isinstance(model, GaussianIID):
-        return model.sigma * math.sqrt(n - 1.0)
-    if isinstance(model, ExponentialIID):
-        return math.sqrt(n - 1.0) / model.rate
-    return math.nan
-
-
 def tightness_sweep(model, n_values: Sequence[int], trials: int, seed: int = 0,
                     *, workers: int = 1) -> List[SweepRow]:
     """Argmax selection across sample sizes, with bounds and norming ratios.
 
-    ``ratio`` compares the MGF bound (when the model has an envelope, else
-    the moment bound) to the empirical bias, reported only when the bias is
+    ``bound_mgf`` and ``bound_pnorm`` are the ``mgf_*`` and the loosest
+    ``pnorm_uniform*`` entries of ``bounds_for`` (nan where the model has no
+    envelope, or beta < 2).  ``ratio`` compares the MGF bound (else the
+    moment bound) to the empirical bias, reported only when the bias is
     positive beyond three standard errors.
     """
     rows = []
@@ -657,19 +680,20 @@ def tightness_sweep(model, n_values: Sequence[int], trials: int, seed: int = 0,
     for n in n_values:
         m = dataclasses.replace(model, n=int(n))
         res = run_experiment(m, rule, trials, seed, workers=workers)
-        a_n = norming_constant(m, n)
-        env = m.cgf_envelope
-        bound_mgf = env.inverse_conjugate(math.log(n)) if env is not None else math.nan
-        bound_pnorm = _sweep_pnorm_bound(m, int(n))
+        table = {name: value for name, (value, _) in bounds_for(m, rule, res).items()}
+        bound_mgf = next((v for name, v in table.items() if name.startswith("mgf_")),
+                         math.nan)
+        bound_pnorm = table.get("pnorm_uniform_loose", table.get("pnorm_uniform", math.nan))
         primary = bound_mgf if math.isfinite(bound_mgf) else bound_pnorm
         if math.isfinite(res.stderr) and res.bias > 3.0 * res.stderr:
             ratio = primary / res.bias
         else:
             ratio = math.nan
+        a_n = m.norming_constant
         rows.append(SweepRow(
             n=int(n), empirical_bias=res.bias, stderr=res.stderr, a_n=a_n,
-            frechet_ratio=res.selected_mean / a_n, bound_pnorm=bound_pnorm,
-            bound_mgf=bound_mgf, ratio=ratio))
+            frechet_ratio=res.selected_mean / a_n if a_n != 0 else math.nan,
+            bound_pnorm=bound_pnorm, bound_mgf=bound_mgf, ratio=ratio))
     return rows
 
 

@@ -443,6 +443,19 @@ def test_simulate_heavytail_bounds(capsys):
     assert "1.5" in got["dependence"]["I_alpha"]
 
 
+def test_simulate_dependence_estimator_per_rule(capsys):
+    # top-k is exact even when trials << n, where a plug-in would be biased low
+    got = run_json(capsys, ["simulate", "--model", "exponential", "--n", "200",
+                            "--rule", "topk:2", "--trials", "50", "--seed", "1"])
+    assert got["meta"]["dependence_estimator"] == "analytic"
+    assert got["dependence"]["I"] == math.log(100.0)
+    assert got["dependence"]["I_alpha"]["2"] == pytest.approx(99.0, rel=1e-15)
+    assert got["meta"]["I_plugin"] < got["dependence"]["I"]
+    got = run_json(capsys, ["simulate", "--n", "5", "--rule", "softmax:0.5",
+                            "--trials", "200", "--seed", "1"])
+    assert got["meta"]["dependence_estimator"] == "rule_conditional"
+
+
 def test_simulate_invalid_rule_exit_2(capsys):
     code, _, err = run_cli(capsys, ["simulate", "--rule", "bogus"])
     assert code == 2

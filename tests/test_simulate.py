@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import sys
 
@@ -11,11 +12,12 @@ from scipy.special import lambertw
 from scipy.stats import norm
 
 from biasbound import simulate
+from biasbound.divergence import (DiscreteJoint, alpha_mutual_information,
+                                  mutual_information)
 from biasbound.simulate import (ArgMax, ArgMin, ExponentialIID, FixedIndex,
                                 GaussianIID, HeavyTailIID, SoftMax,
                                 SWEEP_CSV_HEADER, TopKUniform,
-                                extreme_norming_constant, frechet_mean,
-                                heavy_tail_beta_norm, norming_constant,
+                                frechet_mean, heavy_tail_beta_norm,
                                 run_experiment, sweep_to_csv,
                                 tightness_sweep)
 
@@ -158,17 +160,19 @@ def test_heavy_tail_beta_norm_closed_form():
 
 def test_extreme_norming_constant():
     model = HeavyTailIID(beta=3.0, c=2.0, x0=math.e, n=2)
-    assert extreme_norming_constant(model, 1) == pytest.approx(math.e, rel=1e-12)
-    assert extreme_norming_constant(model, 1000) == pytest.approx(
-        14.18663381204898, rel=1e-10)
-    vals = [extreme_norming_constant(model, n) for n in (2, 10, 100, 1000, 10_000)]
+
+    def a(n):
+        return dataclasses.replace(model, n=n).norming_constant
+    assert a(1) == pytest.approx(math.e, rel=1e-12)
+    assert a(1000) == pytest.approx(14.18663381204898, rel=1e-10)
+    vals = [a(n) for n in (2, 10, 100, 1000, 10_000)]
     assert np.all(np.diff(vals) > 0)
     with pytest.raises(ValueError):
-        extreme_norming_constant(model, 0)
+        a(0)
     # survival space: no cancellation in 1 - 1/n, even past n = 2**53
     for n in (10 ** 3, 10 ** 9, 10 ** 12, 2 ** 60):
         want = heavy_quantile_mp(model, lambda: -mpmath.log(n))
-        assert abs(extreme_norming_constant(model, n) - want) <= 1e-13 * want
+        assert abs(a(n) - want) <= 1e-13 * want
 
 
 def test_frechet_mean():
@@ -179,14 +183,19 @@ def test_frechet_mean():
 
 
 def test_norming_constant_families():
-    g = GaussianIID(mu=1.0, sigma=2.0, n=4)
-    assert norming_constant(g, 100) == pytest.approx(
-        1.0 + 2.0 * math.sqrt(2 * math.log(100)))
-    e = ExponentialIID(rate=2.0, n=4)
-    assert norming_constant(e, 100) == pytest.approx(math.log(100) / 2.0, rel=1e-12)
-    h = HeavyTailIID(n=4)
-    assert norming_constant(h, 50) == pytest.approx(
-        extreme_norming_constant(h, 50), rel=1e-12)
+    g = GaussianIID(mu=1.0, sigma=2.0, n=100)
+    assert g.norming_constant == pytest.approx(1.0 + 2.0 * math.sqrt(2 * math.log(100)))
+    e = ExponentialIID(rate=2.0, n=100)
+    assert e.norming_constant == pytest.approx(math.log(100) / 2.0, rel=1e-12)
+    h = HeavyTailIID(n=50)
+    assert h.norming_constant == pytest.approx(float(h.inverse_cdf(1.0 - 1.0 / 50)),
+                                               rel=1e-12)
+    # the exponential 1 - 1/n quantile is ln(n) / rate: no rounding of 1 - 1/n
+    for rate in (2.0, 0.5, 3.0):
+        for n in (10 ** 6, 10 ** 9, 10 ** 12):
+            want = float(mpmath.log(n) / rate)
+            got = ExponentialIID(rate=rate, n=n).norming_constant
+            assert abs(got - want) <= 1e-13 * want, (rate, n)
 
 
 def test_run_experiment_determinism_across_workers():
@@ -199,7 +208,7 @@ def test_run_experiment_determinism_across_workers():
     assert a.selected_mean == b.selected_mean
     assert a.i_plugin == b.i_plugin
     assert a.i_alpha_plugin == b.i_alpha_plugin
-    assert a.i_rule == b.i_rule
+    assert a.i == b.i
     assert np.array_equal(a.t_counts, b.t_counts)
 
 
@@ -211,17 +220,26 @@ def test_run_experiment_determinism_randomized_rule():
     b = run_experiment(model, rule, trials=2000, seed=5, workers=3,
                        alphas=(1.5, 2.0))
     assert a.bias == b.bias
-    assert a.i_rule == b.i_rule
-    assert a.i_alpha_rule == b.i_alpha_rule
+    assert a.i == b.i
+    assert a.i_alpha == b.i_alpha
 
 
-def test_selection_invariant_under_monotone_transform():
-    # rank-based rules must pick identical indices for any continuous model
-    ga = run_experiment(GaussianIID(n=12), ArgMax(), trials=1500, seed=3)
-    ex = run_experiment(ExponentialIID(n=12), ArgMax(), trials=1500, seed=3)
-    hv = run_experiment(HeavyTailIID(n=12), ArgMax(), trials=1500, seed=3)
-    assert np.array_equal(ga.t_counts, ex.t_counts)
-    assert np.array_equal(ga.t_counts, hv.t_counts)
+def test_selection_invariant_under_monotone_transform(monkeypatch):
+    # order-only rules rank the uniforms, never the values: identical indices
+    # for any continuous model, even one whose quantile is not exactly
+    # monotone in its last ulps (the Wright omega quantile at beta = 6)
+    models = [GaussianIID(n=12), ExponentialIID(n=12), HeavyTailIID(n=12),
+              HeavyTailIID(beta=6.0, c=5.0, x0=1.3, n=12)]
+    shapes = []
+    quantile = HeavyTailIID.inverse_cdf
+    monkeypatch.setattr(HeavyTailIID, "inverse_cdf",
+                        lambda self, u: shapes.append(np.shape(u)) or quantile(self, u))
+    for rule in (ArgMax(), ArgMin(), FixedIndex(5), TopKUniform(3)):
+        counts = [run_experiment(m, rule, trials=1500, seed=3).t_counts for m in models]
+        for c in counts[1:]:
+            assert np.array_equal(counts[0], c), rule
+    # only the 1500 selected uniforms of each run pass through the quantile
+    assert shapes == [(1500,)] * 8
 
 
 def test_gaussian_argmax_bias_matches_quadrature():
@@ -230,8 +248,9 @@ def test_gaussian_argmax_bias_matches_quadrature():
     oracle, _ = integrate.quad(
         lambda x: n * x * norm.pdf(x) * norm.cdf(x) ** (n - 1), -12, 12)
     assert abs(res.bias - oracle) <= 4 * res.stderr
-    assert res.analytic_i == pytest.approx(math.log(n), rel=1e-12)
-    assert res.analytic_i_alpha["2"] == pytest.approx(n - 1, rel=1e-9)
+    assert res.estimator == "analytic"
+    assert res.i == pytest.approx(math.log(n), rel=1e-12)
+    assert res.i_alpha["2"] == pytest.approx(n - 1, rel=1e-9)
 
 
 def test_argmin_mirrors_argmax():
@@ -246,8 +265,9 @@ def test_argmin_mirrors_argmax():
 def test_fixed_index_is_unbiased():
     res = run_experiment(GaussianIID(n=7), FixedIndex(4), trials=20_000, seed=8)
     assert abs(res.bias) <= 4 * res.stderr
-    assert res.analytic_i == 0.0
-    assert res.i_rule == pytest.approx(0.0, abs=1e-12)
+    assert res.estimator == "analytic"
+    assert res.i == 0.0
+    assert res.i_alpha == {"2": 0.0}
     assert res.t_counts[4] == res.trials
 
 
@@ -255,24 +275,72 @@ def test_topk_conditional_information():
     # I(T; data) = ln(n/k) exactly for top-k uniform on continuous draws
     n, k = 10, 3
     res = run_experiment(GaussianIID(n=n), TopKUniform(k), trials=6000, seed=14)
-    assert res.i_rule == pytest.approx(math.log(n / k), abs=0.02)
+    assert res.estimator == "analytic"
+    assert res.i == math.log(n / k)
     # bias sits between fixed-index (0) and argmax
     res_max = run_experiment(GaussianIID(n=n), ArgMax(), trials=6000, seed=14)
     assert 0 < res.bias < res_max.bias
+
+
+def rank_joint(rule, n):
+    """Exact joint of (T, rank permutation) for an order-only rule: the n!
+    orderings of n i.i.d. continuous coordinates are equally likely."""
+    perms = list(itertools.permutations(range(n)))
+    p = np.zeros((n, len(perms)))
+    for j, ranks in enumerate(perms):
+        if isinstance(rule, TopKUniform):
+            top = sorted(range(n), key=lambda i: -ranks[i])[:rule.k]
+            p[top, j] = 1.0 / rule.k
+        else:
+            p[rule.select(np.array([ranks], dtype=float))[0], j] = 1.0
+    return DiscreteJoint(p / len(perms))
+
+
+def test_closed_form_dependence_matches_exact_joint():
+    alphas = (1.0, 1.5, 2.0, 3.0)
+    for n in range(1, 6):
+        rules = [ArgMax(), ArgMin()] + [FixedIndex(i) for i in range(n)] \
+            + [TopKUniform(k) for k in range(1, n + 1)]
+        for rule in rules:
+            joint = rank_joint(rule, n)
+            i, i_alpha = rule.dependence(n, alphas)
+            assert i == pytest.approx(mutual_information(joint), abs=1e-12), (n, rule)
+            for a in alphas:
+                assert i_alpha[f"{a:g}"] == pytest.approx(
+                    alpha_mutual_information(joint, a), abs=1e-12), (n, rule, a)
+    assert SoftMax().dependence(5, alphas) is None
+    with pytest.raises(ValueError):
+        FixedIndex(5).dependence(5, alphas)
+    with pytest.raises(ValueError):
+        TopKUniform(6).dependence(5, alphas)
+
+
+@pytest.mark.parametrize("rule", [ArgMax(), ArgMin(), FixedIndex(2), TopKUniform(3),
+                                  SoftMax(0.5)], ids=lambda r: r.label)
+def test_only_softmax_replays_its_conditional(monkeypatch, rule):
+    calls = []
+    replay = simulate._alpha_pass
+    monkeypatch.setattr(simulate, "_alpha_pass",
+                        lambda *args: calls.append(args) or replay(*args))
+    res = run_experiment(HeavyTailIID(n=8), rule, trials=50, seed=1)
+    conditional = isinstance(rule, SoftMax)
+    assert res.estimator == ("rule_conditional" if conditional else "analytic")
+    assert len(calls) == int(conditional)
+    assert hasattr(rule, "conditional_probs") == conditional
 
 
 def test_softmax_dependence_estimates():
     res = run_experiment(GaussianIID(n=5), SoftMax(1.0), trials=5000, seed=31,
                          alphas=(2.0,))
     # randomized rule: conditional estimate well above the probe lower bound
-    assert res.i_rule > res.i_plugin
-    assert res.analytic_i is None
+    assert res.i > res.i_plugin
+    assert res.estimator == "rule_conditional"
     assert res.bias > 0
     # temperature -> 0 approaches argmax behavior
     cold = run_experiment(GaussianIID(n=5), SoftMax(0.01), trials=5000, seed=31)
     assert cold.bias > res.bias
-    assert res.i_rule < cold.i_rule <= math.log(5) + 1e-9
-    assert cold.i_rule == pytest.approx(math.log(5), abs=0.1)
+    assert res.i < cold.i <= math.log(5) + 1e-9
+    assert cold.i == pytest.approx(math.log(5), abs=0.1)
 
 
 def test_probe_plugin_refinement_is_monotone():
@@ -324,8 +392,7 @@ def test_sweep_rows_and_csv():
     rows = tightness_sweep(model, [20, 60], trials=2500, seed=44)
     assert [r.n for r in rows] == [20, 60]
     for r in rows:
-        assert r.a_n == pytest.approx(
-            extreme_norming_constant(dataclasses.replace(model, n=r.n), r.n))
+        assert r.a_n == pytest.approx(dataclasses.replace(model, n=r.n).norming_constant)
         assert math.isnan(r.bound_mgf)  # no exponential moments
         assert r.bound_pnorm > 0
         assert r.frechet_ratio == pytest.approx(
@@ -346,6 +413,27 @@ def test_sweep_gaussian_has_mgf_column():
     assert rows[0].ratio == pytest.approx(rows[0].bound_mgf / rows[0].empirical_bias)
 
 
+def test_sweep_pnorm_column_is_the_tables_marginal_free_cap():
+    model = HeavyTailIID(beta=3.0, c=2.0, x0=math.e)
+    for r in tightness_sweep(model, [15, 40], trials=300, seed=5):
+        # the loose cap 2^(1/alpha) ||X||_beta n^(1/beta), alpha = beta / (beta - 1)
+        want = 2.0 ** (2.0 / 3.0) * heavy_tail_beta_norm(model) * r.n ** (1.0 / 3.0)
+        assert r.bound_pnorm == pytest.approx(want, rel=1e-12)
+    # no marginal-free cap exists below beta = 2, so no bound and no ratio
+    model = HeavyTailIID(beta=1.5, c=1.2, x0=2.0)
+    for r in tightness_sweep(model, [15, 40], trials=300, seed=5):
+        assert math.isnan(r.bound_pnorm) and math.isnan(r.bound_mgf)
+        assert math.isnan(r.ratio)
+
+
+def test_sweep_at_n1_has_no_frechet_ratio():
+    # a_n = 0 at n = 1 for the Gaussian and the exponential: no ratio, no error
+    for model in (GaussianIID(), ExponentialIID()):
+        (row,) = tightness_sweep(model, [1], trials=20, seed=1)
+        assert row.a_n == 0.0
+        assert math.isnan(row.frechet_ratio)
+
+
 def test_sweep_csv_byte_identical_across_workers():
     model = HeavyTailIID(beta=3.0, c=2.0, x0=math.e, n=10)
     a = sweep_to_csv(tightness_sweep(model, [15, 40], trials=2000, seed=6, workers=1))
@@ -362,7 +450,8 @@ def trial_rng(seed, t):
 
 
 def reference_rule(rule, v, rng):
-    """(index, q) from the 1-D rules; top-k and softmax draw one more double."""
+    """(index, q) from the 1-D rules; top-k and softmax draw one more double.
+    q = P(T | v) only for softmax, the one rule without a closed-form I."""
     if isinstance(rule, ArgMax):
         return int(np.argmax(v)), None
     if isinstance(rule, ArgMin):
@@ -371,9 +460,7 @@ def reference_rule(rule, v, rng):
         return rule.index, None
     if isinstance(rule, TopKUniform):
         top = np.argsort(-v, kind="stable")[:rule.k]
-        q = np.zeros(len(v))
-        q[top] = 1.0 / rule.k
-        return int(top[min(int(rng.random() * rule.k), rule.k - 1)]), q
+        return int(top[min(int(rng.random() * rule.k), rule.k - 1)]), None
     z = v / rule.temperature
     p = np.exp(z - z.max())
     q = p / p.sum()
@@ -381,7 +468,7 @@ def reference_rule(rule, v, rng):
     return min(k, len(q) - 1), q
 
 
-def reference_main_pass(model, rule, trials, seed, probe, workers):
+def reference_main_pass(model, rule, trials, seed, probe, workers, conditional):
     n = model.n
     t_idx, u_sel, u_probe = np.empty(trials, np.int64), np.empty(trials), np.empty(trials)
     q_sum, q_ln_q = np.zeros(n), 0.0
@@ -392,6 +479,7 @@ def reference_main_pass(model, rule, trials, seed, probe, workers):
             u = rng.random(n)
             v = model.inverse_cdf(u) if rule.needs_values else u
             t_idx[t], q = reference_rule(rule, v, rng)
+            assert conditional == (q is not None)
             u_sel[t], u_probe[t] = u[t_idx[t]], u[probe]
             if q is not None:
                 qs += q
@@ -481,8 +569,8 @@ def test_trial_stream_is_keyed_philox_and_any_subset_agrees():
                         assert r is None
     # a run over fewer trials repeats the first trials of a longer one
     model, rule = HeavyTailIID(n=30), SoftMax(0.5)
-    short = simulate._main_pass(model, rule, 700, 9, 0, 1)
-    long = simulate._main_pass(model, rule, 2100, 9, 0, 3)
+    short = simulate._main_pass(model, rule, 700, 9, 0, 1, True)
+    long = simulate._main_pass(model, rule, 2100, 9, 0, 3, True)
     for a, b in zip(short[:3], long[:3]):
         assert np.array_equal(a, b[:700])
     # every 64-bit seed is its own key: 2**64 - 1 is not seed 0

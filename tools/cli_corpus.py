@@ -151,6 +151,7 @@ CORPUS += [
     ("simulate-exponential-topk-n257", ["simulate", "--model", "exponential",
                                         "--rule", "topk:3", "--n", "257",
                                         "--trials", "2049", "--workers", "3"]),
+    ("simulate-topk-k-equals-n", SIM + ["--rule", "topk:6"]),
     ("simulate-err-rule", ["simulate", "--rule", "bogus"]),
     ("simulate-err-fixed-range", ["simulate", "--rule", "fixed:99", "--n", "4"]),
     ("simulate-err-topk-zero", ["simulate", "--rule", "topk:0"]),
@@ -161,6 +162,10 @@ CORPUS += [
     ("sweep-exponential-json", SWEEP + ["--model", "exponential", "--rate", "2",
                                         "--n-list", "10,30", "--format", "json"]),
     ("sweep-heavytail", SWEEP + ["--model", "heavytail", "--n-list", "15,40"]),
+    ("sweep-heavytail-beta1.5", SWEEP + ["--model", "heavytail", "--beta", "1.5",
+                                        "--c", "1.2", "--x0", "2", "--n-list", "15,40"]),
+    ("sweep-exponential-large-n", ["sweep", "--model", "exponential", "--rate", "0.5",
+                                   "--n-list", "1000000,2000000", "--trials", "3"]),
     ("sweep-heavytail-beta2.5-json", SWEEP + ["--model", "heavytail", "--beta", "2.5",
                                               "--n-list", "8", "--format", "json"]),
     ("sweep-default-nlist", ["sweep", "--trials", "100"]),
