@@ -9,6 +9,13 @@ They satisfy ||X||_psi <= ||X||^A_psi <= 2 ||X||_psi, and the generalized
 Hölder inequality E|XY| <= ||X||_psi * ||Y||^A_{psi*} pairs a Luxemburg norm
 with the Amemiya norm of the conjugate function.
 
+A psi and its conjugate psi* are elementwise functions on numpy arrays: an
+array in gives an array of the same shape out, a scalar in gives a float
+out.  power, scaled power and exp carry their conjugates in closed form, so
+a norm under psi* costs the same few array operations per objective
+evaluation as a norm under psi; only a psi without a closed-form conjugate
+takes a numeric Legendre transform per element.
+
 Every numeric solve is one call into ``_solve``: the Luxemburg norm and
 psi^{-1} ask ``threshold`` for the smallest s at which the monotone tests
 E psi(|X|/s) <= 1 and psi(s) >= y turn true; the Amemiya norm asks
@@ -43,9 +50,11 @@ __all__ = [
 class OrliczFunction:
     """Convex nondecreasing psi on [0, inf) with psi(0) = 0, not identically 0.
 
+    ``fn`` and ``conjugate_fn`` are elementwise on numpy arrays: an array in
+    gives an array of the same shape out, a 0-d array in gives a float out.
     ``conjugate_fn`` (if given) is the closed-form convex conjugate
     psi*(v) = sup_u (u v - psi(u)); otherwise the conjugate is computed
-    numerically by ``cgf.legendre_transform``.
+    numerically by ``cgf.legendre_transform``, one element at a time.
     """
 
     def __init__(self, fn: Callable, name: str = "psi",
@@ -88,16 +97,16 @@ class OrliczFunction:
 
     def conjugate_value(self, v: float) -> float:
         """psi*(v) for v >= 0."""
-        if self._conjugate_fn is not None:
-            return float(self._conjugate_fn(float(v)))
-        return legendre_transform(lambda u: float(self(u)), v)
+        return float(self.conjugate_function()(v))
 
     def conjugate_function(self) -> "OrliczFunction":
-        """The conjugate wrapped as an OrliczFunction (it is one)."""
-        def fn(v):
-            v = np.asarray(v, dtype=float)
-            out = np.array([self.conjugate_value(t) for t in np.atleast_1d(v)])
-            return out.reshape(v.shape) if v.shape else float(out[0])
+        """The conjugate psi* as an OrliczFunction (it is one)."""
+        fn = self._conjugate_fn
+        if fn is None:
+            def fn(v):
+                return np.vectorize(
+                    lambda t: legendre_transform(lambda u: float(self(u)), t),
+                    otypes=[float])(v)[()]
         return OrliczFunction(fn, name=f"{self.name}*", validate=False)
 
     def inverse(self, y: float) -> float:
@@ -130,12 +139,12 @@ def power_orlicz(p: float) -> OrliczFunction:
 
     if p == 1.0:
         def conj(v):
-            return 0.0 if v <= 1.0 else math.inf
+            return np.where(v <= 1.0, 0.0, math.inf)[()]  # NaN -> inf
     else:
         q = p / (p - 1.0)
 
         def conj(v):
-            return (p - 1.0) * (v / p) ** q
+            return (p - 1.0) * np.power(v / p, q)
     return OrliczFunction(fn, name=f"power({p:g})", conjugate_fn=conj)
 
 
@@ -150,19 +159,37 @@ def scaled_power_orlicz(p: float) -> OrliczFunction:
         return np.power(u, p) / p
 
     def conj(v):
-        return v ** q / q
+        return np.power(v, q) / q
     return OrliczFunction(fn, name=f"scaled_power({p:g})", conjugate_fn=conj)
 
 
+# 1/(2k + 3), k = 0..15: the series of exp_orlicz's conjugate below v = 2; at
+# z <= 1/3 the first term left out is below 1e-17 of the sum
+_EXP_CONJ_SERIES = 1.0 / (2.0 * np.arange(16) + 3.0)
+
+
 def exp_orlicz() -> OrliczFunction:
-    """psi(u) = e**u - 1; conjugate v ln v - v + 1 for v >= 1, else 0."""
+    """psi(u) = e**u - 1; conjugate v ln v - v + 1 for v >= 1, else 0.
+
+    With x = v - 1, the conjugate is v log1p(x) - x from v = 2 on.  Below, that
+    difference cancels (to every digit as v -> 1), so it is taken from
+    ln v = 2 atanh(z), z = x / (x + 2), as the cancellation-free series
+    x**2 / (x + 2) * (1 + z (1 + z) sum_k z**(2k) / (2k + 3)).
+    """
     def fn(u):
         return np.expm1(u)
 
     def conj(v):
-        if v <= 1.0:
-            return 0.0
-        return v * math.log(v) - v + 1.0
+        x = np.maximum(v - 1.0, 0.0)  # 0 on v <= 1; NaN stays NaN
+        s = np.minimum(x, 1.0)
+        z = s / (s + 2.0)
+        w = z * z
+        series = np.full_like(w, _EXP_CONJ_SERIES[-1])
+        for c in _EXP_CONJ_SERIES[-2::-1]:  # Horner, in place
+            series *= w
+            series += c
+        near = s * s / (s + 2.0) * (1.0 + z * (1.0 + z) * series)
+        return np.where(x < 1.0, near, v * np.log1p(x) - x)[()]
     return OrliczFunction(fn, name="exp", conjugate_fn=conj)
 
 

@@ -32,7 +32,7 @@ import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -341,7 +341,25 @@ class TopKUniform:
                                  for a in alphas}
 
     def _top(self, v) -> np.ndarray:
-        return np.argsort(-np.asarray(v), axis=-1, kind="stable")[..., :self.k]
+        """The first k of a stable argsort of -v along the last axis.
+
+        Only the candidates v >= (k-th largest) are sorted: each row's go into
+        a padded row of keys -v in index order (padding +inf, after them), so
+        a stable sort of that row keeps the lowest-index tie order.
+        """
+        v = np.asarray(v)
+        n, k = v.shape[-1], self.k
+        flat = v.reshape(-1, n)
+        kth = np.partition(flat, n - k, axis=-1)[:, n - k, None]
+        rows, cols = np.divmod(np.flatnonzero(flat >= kth), n)
+        counts = np.bincount(rows, minlength=len(flat))
+        slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        idx = np.zeros((len(flat), counts.max()), dtype=np.intp)
+        key = np.full(idx.shape, np.inf)
+        idx[rows, slot] = cols
+        key[rows, slot] = -flat[rows, cols]
+        order = np.argsort(key, axis=-1, kind="stable")[:, :k]
+        return np.take_along_axis(idx, order, axis=1).reshape(v.shape[:-1] + (k,))
 
     def select(self, v, r, q=None):
         j = np.minimum((r * self.k).astype(np.int64), self.k - 1)
@@ -590,11 +608,17 @@ def heavy_tail_beta_norm(model: HeavyTailIID, s: Optional[float] = None) -> floa
     """(E X^s)^(1/s) for the heavy-tail model, s <= beta (default s = beta).
 
     Uses E X^s = x0^s + s * integral of x^(s-1) * survival(x), computed with
-    the substitution y = ln x, which flattens the log-polynomial tail.
+    the substitution y = ln x, which flattens the log-polynomial tail.  The
+    value does not depend on n, so it is integrated once per (beta, c, x0, s).
     """
     s = model.beta if s is None else float(s)
     if not 0 < s <= model.beta:
         raise ValueError("moment order must lie in (0, beta]")
+    return _beta_norm(dataclasses.replace(model, n=1), s)
+
+
+@lru_cache(maxsize=64)
+def _beta_norm(model: HeavyTailIID, s: float) -> float:
     L = model._log_x0
     k0 = math.exp(model._log_k0)
     tail, _ = integrate.quad(

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -210,3 +211,134 @@ def test_orlicz_bias_bound_scales_in_sigma():
     assert orlicz_bias_bound(3.0, joint, psi) == pytest.approx(3 * one, rel=1e-9)
     with pytest.raises(ValueError):
         orlicz_bias_bound(-1.0, joint, psi)
+
+
+# --- closed-form conjugates on arrays ---------------------------------------
+
+def closed_psi(family, p):
+    return {"power": lambda: power_orlicz(p), "scaled": lambda: scaled_power_orlicz(p),
+            "exp": exp_orlicz}[family]()
+
+
+def conjugate_mp(family, p, v):
+    """40-digit psi*(v) from the closed form, at the exact double inputs p and v,
+    and kappa: half-ulp roundings of the closed form's inputs move psi* by at most
+    kappa half-ulps (y**q with y = v/p or v and q = p/(p - 1) each rounded once;
+    v ln v from a rounded ln v)."""
+    with mpmath.workdps(40):
+        v = mpmath.mpf(v)
+        if family == "exp":
+            if v <= 1:
+                return mpmath.mpf(0), 0.0
+            want = v * mpmath.log(v) - v + 1
+            return want, float(v * abs(mpmath.log(v)) / want)
+        p = mpmath.mpf(p)
+        q = p / (p - 1)
+        y = v / p if family == "power" else v
+        want = (p - 1) * y ** q if family == "power" else y ** q / q
+        kappa = float(q * (1 + abs(mpmath.log(y)))) if y > 0 else 0.0
+        return want, kappa
+
+
+def assert_conjugate_close(got, want, kappa):
+    """got within 4 ulp of want plus kappa half-ulps of relative error, or within
+    1e-300; got = inf only where that allowance reaches past the largest double."""
+    got, top = float(got), np.finfo(float).max
+    rel = kappa * 2.0 ** -53
+    if math.isinf(got):
+        assert want * (1 + rel) >= top, (got, float(want), kappa)
+        return
+    err = abs(mpmath.mpf(got) - want)
+    assert err <= 4 * np.spacing(min(float(want), top)) + rel * want or err <= 1e-300, \
+        (got, float(want), kappa)
+
+
+conjugate_cases = st.one_of(
+    st.tuples(st.just("power"), st.floats(1.0, 6.0, exclude_min=True)),
+    st.tuples(st.just("scaled"), st.floats(1.0, 6.0, exclude_min=True)),
+    st.tuples(st.just("exp"), st.just(math.nan)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=conjugate_cases,
+       v=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=8))
+def test_array_conjugate_matches_mpmath(case, v):
+    family, p = case
+    got = closed_psi(family, p).conjugate_function()(np.array(v))
+    assert got.shape == (len(v),)
+    for g, t in zip(got, v):
+        assert_conjugate_close(g, *conjugate_mp(family, p, t))
+
+
+def test_exp_conjugate_has_no_cancellation_near_one():
+    # v ln v - v + 1 lost every digit at v = 1 + 1e-8 and 1 + 1e-12
+    x = np.concatenate([[1e-12, 1e-8, 1e-5, 1e-3], np.geomspace(2.0 ** -52, 1e6, 400),
+                        np.random.default_rng(89).uniform(0.0, 3.0, 400)])
+    v = 1.0 + x
+    v = v[v > 1.0]
+    got = exp_orlicz().conjugate_function()(v)
+    with mpmath.workdps(50):
+        for g, t in zip(got, v):
+            t = mpmath.mpf(t)
+            want = t * mpmath.log(t) - t + 1
+            assert abs(g - want) <= 1e-14 * want, (float(t), g, float(want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.one_of(conjugate_cases, st.tuples(st.just("power"), st.just(1.0))),
+       u=st.floats(0.0, 50.0), v=st.floats(0.0, 50.0), slope=st.floats(0.5, 2.0))
+def test_young_inequality(case, u, v, slope):
+    # psi(u) + psi*(v) >= u v, with equality where v = psi'(u); the slope
+    # factor draws v near that curve as well as anywhere
+    family, p = case
+    psi = closed_psi(family, p)
+    deriv = math.exp(u) if family == "exp" else (
+        p * u ** (p - 1) if family == "power" else u ** (p - 1))
+    for w in (v, slope * deriv):
+        lhs = float(psi(u)) + psi.conjugate_value(w)
+        assert lhs >= u * w * (1 - 1e-12), (u, w, lhs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.one_of(conjugate_cases, st.tuples(st.just("power"), st.just(1.0))),
+       x=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6).filter(lambda x: max(x) > 0))
+def test_norm_equivalence_under_conjugate(case, x):
+    conj = closed_psi(*case).conjugate_function()
+    lux = luxemburg_norm(x, conj)
+    am = amemiya_norm(x, conj)
+    assert lux <= am * (1 + 1e-9)
+    assert am <= 2 * lux * (1 + 1e-9)
+
+
+def test_conjugate_shape_contract():
+    numeric = OrliczFunction(lambda u: np.power(u, 3.0), name="cube")
+    grid = np.array([[0.0, 0.5, 1.0], [2.0, 3.5, 8.0]])
+    for psi in (power_orlicz(1.0), power_orlicz(2.5), scaled_power_orlicz(3.0),
+                exp_orlicz(), numeric):
+        conj = psi.conjugate_function()
+        for scalar in (2.0, np.float64(2.0), np.array(2.0)):
+            out = conj(scalar)
+            assert isinstance(out, float) and np.ndim(out) == 0
+            assert isinstance(psi.conjugate_value(scalar), float)
+        for arr in (grid[0], grid):
+            out = conj(arr)
+            assert isinstance(out, np.ndarray) and out.shape == arr.shape
+            assert np.array_equal(out, np.vectorize(psi.conjugate_value)(arr))
+    # the numeric conjugate still works per element: psi = u^3 gives 2 (v/3)^1.5
+    assert np.allclose(numeric.conjugate_function()(grid),
+                       power_orlicz(3.0).conjugate_function()(grid), rtol=1e-6, atol=1e-9)
+
+
+def test_power_one_conjugate_is_exactly_zero_or_inf():
+    conj = power_orlicz(1.0).conjugate_function()
+    v = np.array([0.0, 0.3, 1.0, np.nextafter(1.0, 2.0), 2.0, 1e300, np.inf, np.nan])
+    out = conj(v)
+    assert out.tolist() == [0.0, 0.0, 0.0, math.inf, math.inf, math.inf, math.inf, math.inf]
+    assert conj(np.array([[0.5], [1.5]])).tolist() == [[0.0], [math.inf]]
+
+
+def test_conjugate_nan_and_inf():
+    assert math.isnan(exp_orlicz().conjugate_value(math.nan))
+    for psi in (power_orlicz(2.0), power_orlicz(1.3), scaled_power_orlicz(2.5)):
+        assert psi.conjugate_value(math.inf) == math.inf
+        assert math.isnan(psi.conjugate_value(math.nan))

@@ -387,6 +387,21 @@ def test_tie_breaking_lowest_index():
     assert list(top) == [1, 2]
 
 
+def test_topk_partial_selection_matches_full_stable_argsort():
+    # the reference: the first k of a stable argsort of -v, row by row
+    rng = np.random.default_rng(97)
+    tiles = [rng.random((31, 257)), rng.random((5, 1)), rng.random((8, 6)),
+             rng.integers(0, 3, (40, 9)).astype(float),      # ties everywhere
+             np.repeat(rng.random((6, 1)), 7, axis=1),        # all equal
+             np.where(rng.random((20, 12)) < 0.5, 0.25, rng.random((20, 12)))]
+    for v in tiles:
+        n = v.shape[1]
+        for k in sorted({1, 2, 3, n // 2, n - 1, n} & set(range(1, n + 1))):
+            want = np.argsort(-v, axis=-1, kind="stable")[:, :k]
+            assert np.array_equal(TopKUniform(k)._top(v), want), (v.shape, k)
+            assert np.array_equal(TopKUniform(k)._top(v[0]), want[0])
+
+
 def test_sweep_rows_and_csv():
     model = HeavyTailIID(beta=3.0, c=2.0, x0=math.e, n=10)
     rows = tightness_sweep(model, [20, 60], trials=2500, seed=44)
@@ -404,6 +419,21 @@ def test_sweep_rows_and_csv():
     first = lines[1].split(",")
     assert int(first[0]) == 20
     assert float(first[1]) == rows[0].empirical_bias  # repr round-trips
+
+
+def test_sweep_integrates_heavy_tail_norms_once(monkeypatch):
+    # mean and moment cap do not depend on n: 3 n values, 2 integrals
+    calls = []
+    quad = integrate.quad
+    monkeypatch.setattr(simulate.integrate, "quad",
+                        lambda *a, **kw: calls.append(1) or quad(*a, **kw))
+    model = HeavyTailIID(beta=3.25, c=2.0, x0=2.9, n=10)
+    simulate._beta_norm.cache_clear()
+    rows = tightness_sweep(model, [5, 10, 20], trials=200, seed=3)
+    assert len(calls) == 2
+    fresh = dataclasses.replace(model, n=20)  # own cached_property, shared integral
+    assert (fresh.mean, fresh.moment_cap) == (model.mean, model.moment_cap)
+    assert len(calls) == 2 and len(rows) == 3
 
 
 def test_sweep_gaussian_has_mgf_column():
