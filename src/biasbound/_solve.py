@@ -54,7 +54,9 @@ def minimize(f: Callable[[float], float], hi: float) -> float:
     c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     best = min(vals[i], fc, fd)
-    while b - a > _RTOL * b:
+    # 4 ulps < _RTOL * b for a normal b; the ulp test only ends a subnormal
+    # bracket, where _RTOL * b is below the float spacing
+    while b - a > _RTOL * b and b - a > 4.0 * math.ulp(b):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)

@@ -175,8 +175,8 @@ class _PointwiseMax(CgfEnvelope):
     def domain_sup(self) -> float:
         return self._domain
 
-    def evaluate(self, lam: float) -> float:
-        return max(e.evaluate(lam) for e in self._envs)
+    def _psi(self, lam: float) -> float:
+        return max(e._psi(lam) for e in self._envs)
 
 
 def max_inequality_cgf_bound(envelopes: Sequence[CgfEnvelope], n: int) -> float:

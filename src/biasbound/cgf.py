@@ -7,11 +7,22 @@ gives Chernoff-style tail rates, and the inverse conjugate
 
     (psi*)^{-1}(I) = inf_{0 < lam < domain_sup} (psi(lam) + I) / lam
 
-converts an information budget I (in nats) into a deviation scale.  Both
-numeric solves ask ``_solve.minimize`` for the minimum of a quasiconvex
-function of lam on (0, domain_sup): psi(lam) - lam*x for the conjugate
-(convex), and (psi(lam) + I)/lam for the inverse conjugate (quasiconvex,
-because psi is convex with psi(0) = 0).
+converts an information budget I (in nats) into a deviation scale.
+
+Sub-Gaussian, sub-exponential and sub-gamma envelopes, and mixtures that
+collapse to one of them, carry both conjugates in closed form.  A tabulated
+envelope is linear between its knots and +inf past the last one, so both
+optima sit on a knot and its conjugates are exact knot-wise reductions, the
+last knot included.  Every other envelope, and ``conjugate_numeric`` /
+``inverse_conjugate_numeric`` on any envelope (the numeric reference the
+closed forms are tested against), asks ``_solve.minimize`` for the minimum
+of a quasiconvex function of lam on (0, domain_sup): psi(lam) - lam*x for
+the conjugate (convex), and (psi(lam) + I)/lam for the inverse conjugate
+(quasiconvex, because psi is convex with psi(0) = 0).
+
+``evaluate`` checks lam >= 0 once and calls the envelope's unchecked
+``_psi``; the numeric searches call ``_psi`` directly, as they only probe
+lam in (0, domain_sup].
 """
 
 from __future__ import annotations
@@ -66,13 +77,15 @@ class CgfEnvelope:
     domain_sup: float = math.inf
 
     def evaluate(self, lam: float) -> float:
-        raise NotImplementedError
-
-    def _check_lambda(self, lam: float) -> float:
+        """psi(lam) for lam >= 0."""
         lam = float(lam)
         if lam < 0:
             raise ValueError("lambda must be nonnegative")
-        return lam
+        return self._psi(lam)
+
+    def _psi(self, lam: float) -> float:
+        """psi at a float lam >= 0, unchecked."""
+        raise NotImplementedError
 
     def conjugate(self, x: float) -> float:
         """Convex conjugate psi*(x) for x >= 0 (closed form when available)."""
@@ -80,7 +93,7 @@ class CgfEnvelope:
 
     def conjugate_numeric(self, x: float) -> float:
         """psi*(x) by numeric maximization (``legendre_transform``)."""
-        return legendre_transform(self.evaluate, x, self.domain_sup)
+        return legendre_transform(self._psi, x, self.domain_sup)
 
     def inverse_conjugate(self, info: float) -> float:
         """Generalized inverse of psi* at information budget info (nats)."""
@@ -93,7 +106,7 @@ class CgfEnvelope:
             raise ValueError("information budget must be nonnegative")
         if info == 0.0:
             return 0.0
-        return minimize(lambda lam: (self.evaluate(lam) + info) / lam,
+        return minimize(lambda lam: (self._psi(lam) + info) / lam,
                         self.domain_sup * (1.0 - _BOUNDARY_SHRINK))
 
 
@@ -112,8 +125,7 @@ class SubGaussian(CgfEnvelope):
     def domain_sup(self) -> float:
         return math.inf
 
-    def evaluate(self, lam: float) -> float:
-        lam = self._check_lambda(lam)
+    def _psi(self, lam: float) -> float:
         return 0.5 * lam * lam * self.sigma * self.sigma
 
     def conjugate(self, x: float) -> float:
@@ -146,8 +158,7 @@ class SubExponential(CgfEnvelope):
     def domain_sup(self) -> float:
         return 1.0 / self.b
 
-    def evaluate(self, lam: float) -> float:
-        lam = self._check_lambda(lam)
+    def _psi(self, lam: float) -> float:
         if lam >= self.domain_sup:
             return math.inf
         return 0.5 * lam * lam * self.sigma * self.sigma
@@ -189,8 +200,7 @@ class SubGamma(CgfEnvelope):
     def domain_sup(self) -> float:
         return 1.0 / self.c
 
-    def evaluate(self, lam: float) -> float:
-        lam = self._check_lambda(lam)
+    def _psi(self, lam: float) -> float:
         if lam >= self.domain_sup:
             return math.inf
         return 0.5 * lam * lam * self.sigma2 / (1.0 - self.c * lam)
@@ -219,7 +229,8 @@ class Tabulated(CgfEnvelope):
     The grid must start at (0, 0), be strictly increasing in lambda, have
     nondecreasing convex values, and a near-zero slope at the origin.
     evaluate(lambda_max) returns the last tabulated value; strictly beyond
-    the grid the envelope is +inf.
+    the grid the envelope is +inf.  Both conjugates are exact reductions
+    over the knots (lambda_max included).
     """
 
     def __init__(self, lams: Sequence[float], psis: Sequence[float],
@@ -246,11 +257,30 @@ class Tabulated(CgfEnvelope):
     def domain_sup(self) -> float:
         return float(self._lams[-1])
 
-    def evaluate(self, lam: float) -> float:
-        lam = self._check_lambda(lam)
+    def _psi(self, lam: float) -> float:
         if lam > self._lams[-1]:
             return math.inf
         return float(np.interp(lam, self._lams, self._psis))
+
+    def conjugate(self, x: float) -> float:
+        # lam*x - psi(lam) is linear between knots, so its sup is at a knot
+        x = float(x)
+        if x < 0:
+            raise ValueError("conjugate argument must be nonnegative")
+        if x == 0.0:
+            return 0.0
+        return float(np.max(self._lams[1:] * x - self._psis[1:],
+                            initial=max(0.0, -self._psis[0])))
+
+    def inverse_conjugate(self, info: float) -> float:
+        # on a segment (psi(lam) + info)/lam = slope + a/lam is monotone in
+        # lam, so its infimum over (0, lambda_max] is at a knot lam_j > 0
+        info = float(info)
+        if info < 0:
+            raise ValueError("information budget must be nonnegative")
+        if info == 0.0:
+            return 0.0
+        return float(np.min((self._psis[1:] + info) / self._lams[1:]))
 
     @classmethod
     def from_csv(cls, path) -> "Tabulated":
@@ -281,24 +311,22 @@ class MixedEnvelope(CgfEnvelope):
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError("mixture weights must sum to 1")
         self.components = tuple(components)
-        self._domain_sup = min(env.domain_sup for _, env in components)
+        self._domain_sup = sup = min(env.domain_sup for _, env in components)
+        self._terms = tuple((w, env._psi) for w, env in components if w > 0)
+        # finite at lam == domain_sup only if every positive-weight component is
+        self._boundary_finite = math.isfinite(sup) and all(
+            math.isfinite(psi(sup)) for _, psi in self._terms)
         self._collapsed = self._collapse()
 
     @property
     def domain_sup(self) -> float:
         return self._domain_sup
 
-    def evaluate(self, lam: float) -> float:
-        lam = self._check_lambda(lam)
-        if lam >= self._domain_sup and math.isfinite(self._domain_sup):
-            if lam > self._domain_sup or not self._boundary_finite():
-                return math.inf
-        return sum(w * env.evaluate(lam) for w, env in self.components if w > 0)
-
-    def _boundary_finite(self) -> bool:
-        # finite at lam == domain_sup only if every positive-weight component is
-        return all(math.isfinite(env.evaluate(self._domain_sup))
-                   for w, env in self.components if w > 0)
+    def _psi(self, lam: float) -> float:
+        if lam > self._domain_sup or (lam == self._domain_sup
+                                      and not self._boundary_finite):
+            return math.inf
+        return sum(w * psi(lam) for w, psi in self._terms)
 
     def _collapse(self):
         active = [(w, e) for w, e in self.components if w > 0]

@@ -171,8 +171,9 @@ _EXP_CONJ_SERIES = 1.0 / (2.0 * np.arange(16) + 3.0)
 def exp_orlicz() -> OrliczFunction:
     """psi(u) = e**u - 1; conjugate v ln v - v + 1 for v >= 1, else 0.
 
-    With x = v - 1, the conjugate is v log1p(x) - x from v = 2 on.  Below, that
-    difference cancels (to every digit as v -> 1), so it is taken from
+    With x = v - 1, the conjugate is v log1p(x) - x from v = 2 on (+inf at
+    v = +inf, where that difference is inf - inf).  Below, that difference
+    cancels (to every digit as v -> 1), so it is taken from
     ln v = 2 atanh(z), z = x / (x + 2), as the cancellation-free series
     x**2 / (x + 2) * (1 + z (1 + z) sum_k z**(2k) / (2k + 3)).
     """
@@ -189,7 +190,8 @@ def exp_orlicz() -> OrliczFunction:
             series *= w
             series += c
         near = s * s / (s + 2.0) * (1.0 + z * (1.0 + z) * series)
-        return np.where(x < 1.0, near, v * np.log1p(x) - x)[()]
+        far = np.where(x < math.inf, v * np.log1p(x) - x, x)
+        return np.where(x < 1.0, near, far)[()]
     return OrliczFunction(fn, name="exp", conjugate_fn=conj)
 
 

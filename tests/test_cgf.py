@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from biasbound.bounds import _PointwiseMax
 from biasbound.cgf import (MixedEnvelope, SubExponential, SubGamma,
                            SubGaussian, Tabulated, legendre_transform,
                            subexponential_piecewise_bound)
@@ -328,3 +329,165 @@ def test_legendre_transform_direct():
     assert legendre_transform(lambda lam: lam * lam, 0.0) == 0.0
     with pytest.raises(ValueError):
         legendre_transform(lambda lam: lam * lam, -1.0)
+
+
+# --- properties over every family ------------------------------------------
+
+_EPS = 2.0 ** -52
+
+
+@st.composite
+def tabulated_envelopes(draw):
+    """A convex grid from (0, 0): positive lambda gaps, nondecreasing slopes
+    from an origin slope in [0, 0.09] (rounding stays below the 0.1 cap)."""
+    k = draw(st.integers(2, 12))
+    gaps = np.array(draw(st.lists(st.floats(1e-3, 10.0), min_size=k - 1, max_size=k - 1)))
+    rises = draw(st.lists(st.floats(0.0, 100.0), min_size=k - 2, max_size=k - 2))
+    slopes = draw(st.floats(0.0, 0.09)) + np.concatenate([[0.0], np.cumsum(rises)])
+    lams = np.concatenate([[0.0], np.cumsum(gaps)])
+    psis = np.concatenate([[0.0], np.cumsum(slopes * gaps)])
+    return Tabulated(lams, psis)
+
+
+sub_gaussians = st.builds(SubGaussian, st.floats(0.1, 10.0))
+sub_exponentials = st.builds(SubExponential, st.floats(0.1, 10.0), st.floats(0.1, 10.0))
+sub_gammas = st.builds(SubGamma, st.floats(0.01, 100.0), st.floats(0.1, 10.0))
+
+
+@st.composite
+def mixtures(draw):
+    """A sub-Gaussian mixed with one or two components of other families, all
+    with positive weight, so the mixture never collapses to a closed form."""
+    others = draw(st.lists(st.one_of(sub_exponentials, sub_gammas, tabulated_envelopes()),
+                           min_size=1, max_size=2))
+    envs = [draw(sub_gaussians)] + others
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(envs),
+                               max_size=len(envs))))
+    return MixedEnvelope(list(zip(w / w.sum(), envs)))
+
+
+envelopes = st.one_of(sub_gaussians, sub_exponentials, sub_gammas,
+                      tabulated_envelopes(), mixtures())
+
+
+def knot_scale(env):
+    """The largest knot value of a tabulated envelope, or of one in a mixture
+    (0 without one)."""
+    parts = env.components if isinstance(env, MixedEnvelope) else [(1.0, env)]
+    return max((float(e._psis[-1]) for _, e in parts if isinstance(e, Tabulated)),
+               default=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(env=envelopes, info=st.floats(1e-3, 1e2))
+def test_conjugate_round_trip(env, info):
+    # psi*((psi*)^{-1}(I)) = I.  At the optimum lam x = psi(lam) + I, and the
+    # conjugate's lam x - psi(lam) loses a few ulps of that sum.  psi(lam) <= I
+    # there for the smooth families; on a knot it can be as large as the
+    # largest knot value.  The numeric mixtures also lose their searches'
+    # 1e-12 shrink from a domain boundary
+    x = env.inverse_conjugate(info)
+    back = env.conjugate(x)
+    assert abs(back - info) <= 1e-10 * info + 1e-12 * knot_scale(env), (x, back)
+
+
+@settings(max_examples=200, deadline=None)
+@given(env=envelopes, t=st.floats(0.0, 1.0), x=st.floats(0.0, 100.0),
+       slope=st.floats(0.5, 2.0))
+def test_fenchel_young(env, t, x, slope):
+    # psi(lam) + psi*(x) >= lam x on the closed domain; x is drawn anywhere and
+    # near the slope of psi at lam, where the inequality is tight
+    cap = env.domain_sup if math.isfinite(env.domain_sup) else 10.0
+    if not math.isfinite(env.evaluate(cap)):
+        cap *= 1.0 - 1e-9
+    lam = t * cap
+    h = 1e-6 * cap
+    deriv = (env.evaluate(lam) - env.evaluate(lam - h)) / h if lam > h else 0.0
+    for w in (x, slope * deriv):
+        lhs = env.evaluate(lam) + env.conjugate(w)
+        assert lhs >= lam * w * (1 - 1e-10) - 1e-300, (lam, w, lhs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tab=tabulated_envelopes(), info=st.floats(1e-3, 1e3), x=st.floats(0.0, 1e3))
+def test_tabulated_closed_forms_match_references(tab, info, x):
+    lams, psis = tab._lams, tab._psis
+    with mpmath.workdps(40):
+        mp_lams = [mpmath.mpf(float(v)) for v in lams]
+        mp_psis = [mpmath.mpf(float(v)) for v in psis]
+        want_inv = min((p + info) / l for l, p in zip(mp_lams[1:], mp_psis[1:]))
+        want_conj = max(0, max(l * x - p for l, p in zip(mp_lams, mp_psis)))
+    # the knot-wise inverse is a sum and a division: two roundings
+    inv = tab.inverse_conjugate(info)
+    assert abs(inv - want_inv) <= 2 * _EPS * want_inv
+    # the knot-wise conjugate is a product and a difference, which cancels
+    # (and is subnormal at the smallest x)
+    conj = tab.conjugate(x)
+    scale = float(np.max(lams * x + psis))
+    assert abs(conj - want_conj) <= 2 * _EPS * scale + 1e-300
+    # the numeric reference never probes past lambda_max (1 - 1e-12), so it
+    # can only be worse: higher for the infimum, lower for the supremum
+    numeric_inv = tab.inverse_conjugate_numeric(info)
+    assert inv <= numeric_inv * (1 + 4 * _EPS)
+    assert numeric_inv <= inv * (1 + 1e-9)
+    numeric_conj = tab.conjugate_numeric(x)
+    assert numeric_conj <= conj + 4 * _EPS * scale + 1e-300
+    assert conj - numeric_conj <= 1e-9 * float(lams[-1] * x + psis[-1])
+
+
+def test_tabulated_last_knot_is_exact():
+    # a budget large enough that the optimum is lambda_max: the closed forms
+    # return the knot value itself, which the numeric search only approaches
+    grid = np.linspace(0, 4, 401)
+    tab = Tabulated(grid, grid ** 2 / 2)
+    assert tab.inverse_conjugate(50.0) == (8.0 + 50.0) / 4.0
+    assert tab.inverse_conjugate_numeric(50.0) > 14.5
+    assert tab.conjugate(10.0) == 4.0 * 10.0 - 8.0
+    assert tab.conjugate_numeric(10.0) < 32.0
+    assert tab.conjugate(0.0) == 0.0 and tab.inverse_conjugate(0.0) == 0.0
+    assert tab.conjugate(math.inf) == math.inf
+    assert tab.inverse_conjugate(math.inf) == math.inf
+    with pytest.raises(ValueError):
+        tab.conjugate(-1.0)
+    with pytest.raises(ValueError):
+        tab.inverse_conjugate(-1e-3)
+
+
+# --- lambda checks and the mixture's terms ---------------------------------
+
+def test_negative_lambda_raises_on_every_family():
+    grid = np.linspace(0, 2, 21)
+    tab = Tabulated(grid, grid ** 2 / 2)
+    for env in (SubGaussian(1.0), SubExponential(1.0, 1.0), SubGamma(1.0, 1.0), tab,
+                MixedEnvelope([(0.5, SubGaussian(1.0)), (0.5, tab)]),
+                _PointwiseMax([SubGaussian(1.0), SubGamma(1.0, 1.0)])):
+        for lam in (-1e-300, -0.5, -math.inf, np.float64(-1.0)):
+            with pytest.raises(ValueError, match="lambda must be nonnegative"):
+                env.evaluate(lam)
+        assert env.evaluate(0.0) == 0.0
+        assert math.isnan(env.evaluate(math.nan))
+
+
+def test_mixture_boundary_rule_and_zero_weights():
+    grid = np.linspace(0, 2, 21)
+    tab = Tabulated(grid, grid ** 2 / 2)
+    # every positive-weight component is finite at domain_sup = 2: so is the mixture
+    mix = MixedEnvelope([(0.5, SubGaussian(1.0)), (0.5, tab)])
+    assert mix.domain_sup == 2.0
+    assert mix.evaluate(2.0) == 0.5 * 2.0 + 0.5 * 2.0
+    assert mix.evaluate(np.nextafter(2.0, 3.0)) == math.inf
+    # SubGamma(1, 0.5) is +inf at its domain_sup 2: so is the mixture
+    mix = MixedEnvelope([(0.5, SubGaussian(1.0)), (0.5, SubGamma(1.0, 0.5))])
+    assert mix.evaluate(2.0) == math.inf
+    assert math.isfinite(mix.evaluate(np.nextafter(2.0, 0.0)))
+    # a zero-weight component is skipped, even where it is +inf (0 * inf is
+    # nan), but its domain_sup still caps the mixture's
+    mix = MixedEnvelope([(1.0, SubGaussian(1.0)), (0.0, SubGamma(1.0, 0.5))])
+    assert mix.domain_sup == 2.0
+    assert mix.evaluate(1.0) == 0.5
+    assert mix.evaluate(2.0) == 2.0
+    assert mix.evaluate(2.5) == math.inf
+    # an infinite domain has no boundary
+    mix = MixedEnvelope([(0.25, SubGaussian(1.0)), (0.75, SubGaussian(2.0))])
+    assert mix.domain_sup == math.inf
+    assert mix.evaluate(1e150) == pytest.approx(1.625e300, rel=1e-15)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biasbound.divergence import (DiscreteJoint, abs_power_generator,
                                   alpha_mi_cardinality_bound,
@@ -292,3 +293,26 @@ def test_nan_measure_raises():
         phi_divergence([math.nan, 0.5], [0.5, 0.5], kl_generator())
     with pytest.raises(ValueError, match="measure entries must be nonnegative"):
         phi_divergence([0.5, 0.5], [0.5, math.nan], kl_generator())
+
+
+@st.composite
+def joints(draw):
+    """A joint on up to 6 x 6 cells, with some cells exactly 0."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1.0)),
+                          min_size=rows * cols, max_size=rows * cols))
+    m = np.array(cells).reshape(rows, cols)
+    if m.sum() == 0:
+        m[0, 0] = 1.0
+    return DiscreteJoint(m / m.sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(joint=joints(), alpha=st.floats(1.0, 8.0, exclude_min=True))
+def test_marginal_caps_hold_on_random_joints(joint, alpha):
+    # no joint with the T-marginal p_rows carries more dependence than the
+    # deterministic one, which attains both caps
+    mi = mutual_information(joint)
+    assert mi <= phi_mi_marginal_bound(joint.p_rows, kl_generator()) * (1 + 1e-12) + 1e-15
+    i_alpha = alpha_mutual_information(joint, alpha)
+    assert i_alpha <= alpha_mi_marginal_bound(joint.p_rows, alpha) * (1 + 1e-12) + 1e-15

@@ -342,3 +342,21 @@ def test_conjugate_nan_and_inf():
     for psi in (power_orlicz(2.0), power_orlicz(1.3), scaled_power_orlicz(2.5)):
         assert psi.conjugate_value(math.inf) == math.inf
         assert math.isnan(psi.conjugate_value(math.nan))
+
+
+def test_conjugate_at_inf_nan_and_0d_every_family():
+    # psi*(+inf) = +inf and psi*(nan) = nan for every closed form, from a float,
+    # a 0-d array or inside an array (exp gave inf - inf = nan at +inf)
+    for psi in (power_orlicz(2.0), power_orlicz(1.3), scaled_power_orlicz(2.5),
+                exp_orlicz()):
+        conj = psi.conjugate_function()
+        for v in (math.inf, np.array(math.inf)):
+            assert psi.conjugate_value(v) == math.inf
+            out = conj(v)
+            assert isinstance(out, float) and out == math.inf
+        for v in (math.nan, np.array(math.nan)):
+            assert math.isnan(psi.conjugate_value(v))
+            assert math.isnan(conj(v))
+        out = conj(np.array([0.0, 2.0, math.inf, math.nan]))
+        assert out[0] == 0.0 and 0.0 < out[1] < math.inf
+        assert out[2] == math.inf and math.isnan(out[3])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biasbound._solve import NumericDivergence, minimize, threshold
+from biasbound.cgf import Tabulated
 
 
 @settings(max_examples=300, deadline=None)
@@ -44,3 +45,18 @@ def test_minimize_any_scale(k, capped):
     assert minimize(lambda t: -t / t0, hi) == -hi / t0
     with pytest.raises(NumericDivergence):
         minimize(lambda t: -t, math.inf)
+
+
+
+def test_minimize_ends_on_a_subnormal_bracket():
+    # a minimiser below the smallest normal float: _RTOL * b underflows there,
+    # so the stop rule also counts subnormal spacings (3e-313 looped forever)
+    for t0 in (3e-313, 2e-308):
+        assert minimize(lambda t: abs(t - t0), 1.0) == 0.0
+    # below the scan floor the search stops at its left end
+    assert 0.0 < minimize(lambda t: abs(t - 1e-320), 1.0) < 1e-314
+    # the numeric conjugate of an envelope a little steeper at the origin than
+    # x descends into that range, where its objective rounds to ties
+    tab = Tabulated([0.0, 2.8638763997262764, 11.121871409022361],
+                    [0.0, 0.0030211617626001506, 667.2])
+    assert tab.conjugate_numeric(0.001) == 0.0

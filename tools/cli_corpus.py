@@ -74,6 +74,8 @@ CORPUS = [
                               "--b", "2", "--I", "2", "--format", "csv"]),
     ("bound-tabulated", ["bound", "--family", "tabulated", "--envelope", "{tmp}/env.csv",
                          "--I", "1"]),
+    ("bound-tabulated-last-knot", ["bound", "--family", "tabulated", "--envelope",
+                                   "{tmp}/env.csv", "--I", "50"]),
     ("bound-pnorm-ialpha", ["bound", "--family", "pnorm", "--beta", "3", "--sigma", "1,2",
                             "--i-alpha", "0.7"]),
     ("bound-pnorm-joint", ["bound", "--family", "pnorm", "--beta", "2", "--sigma", "1",
