@@ -16,11 +16,10 @@ from .divergence import (DiscreteJoint, PhiGenerator, abs_power_generator,
                          kl_generator, load_probability_vector,
                          mutual_information, phi_divergence,
                          phi_mi_marginal_bound, save_probability_vector)
-from .bounds import (BoundReport, SubexponentialBound, UniformPnormBound,
-                     conjugate_exponent, gaussian_bound,
-                     max_inequality_cgf_bound, max_inequality_orlicz_bound,
-                     max_inequality_pnorm_bound, mgf_bound, pnorm_bound,
-                     pnorm_uniform_bound, subexponential_bound, subgamma_bound,
+from .bounds import (BoundReport, UniformPnormBound, conjugate_exponent,
+                     gaussian_bound, max_inequality_cgf_bound,
+                     max_inequality_orlicz_bound, max_inequality_pnorm_bound,
+                     mgf_bound, pnorm_bound, pnorm_uniform_bound,
                      weighted_beta_norm)
 from .orlicz import (NumericDivergence, OrliczFunction, amemiya_norm,
                      exp_orlicz, holder_check, luxemburg_norm,

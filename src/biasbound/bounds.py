@@ -21,8 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cgf import CgfEnvelope, MixedEnvelope, SubExponential, SubGamma, \
-    subexponential_piecewise_bound
+from .cgf import CgfEnvelope, MixedEnvelope, _PointwiseMax
 from .orlicz import OrliczFunction
 
 __all__ = [
@@ -32,9 +31,6 @@ __all__ = [
     "pnorm_uniform_bound",
     "UniformPnormBound",
     "gaussian_bound",
-    "subgamma_bound",
-    "subexponential_bound",
-    "SubexponentialBound",
     "max_inequality_cgf_bound",
     "max_inequality_pnorm_bound",
     "max_inequality_orlicz_bound",
@@ -139,46 +135,6 @@ def gaussian_bound(sigmas, info: float, p_t=None) -> float:
     return weighted_beta_norm(sigmas, p_t, 2.0) * math.sqrt(2.0 * info)
 
 
-def subgamma_bound(sigma2: float, c: float, info: float) -> float:
-    """Sub-gamma closed form sqrt(2 sigma2 info) + c info."""
-    return SubGamma(sigma2, c).inverse_conjugate(info)
-
-
-@dataclass(frozen=True)
-class SubexponentialBound:
-    canonical: float
-    piecewise: float
-
-
-def subexponential_bound(sigma: float, b: float, info: float) -> SubexponentialBound:
-    """Sub-exponential deviation scale at budget info.
-
-    ``canonical`` is the exact minimization of (psi(lam) + info)/lam over the
-    truncated domain; ``piecewise`` is the printed closed form, which agrees
-    only at b = 1.
-    """
-    env = SubExponential(sigma, b)
-    return SubexponentialBound(
-        canonical=env.inverse_conjugate(info),
-        piecewise=subexponential_piecewise_bound(sigma, b, info),
-    )
-
-
-class _PointwiseMax(CgfEnvelope):
-    def __init__(self, envelopes: Sequence[CgfEnvelope]):
-        if not envelopes:
-            raise ValueError("need at least one envelope")
-        self._envs = tuple(envelopes)
-        self._domain = min(e.domain_sup for e in self._envs)
-
-    @property
-    def domain_sup(self) -> float:
-        return self._domain
-
-    def _psi(self, lam: float) -> float:
-        return max(e._psi(lam) for e in self._envs)
-
-
 def max_inequality_cgf_bound(envelopes: Sequence[CgfEnvelope], n: int) -> float:
     """Chernoff baseline for E[max of n coordinates]: (max_i psi_i)*^{-1}(ln n)."""
     n = int(n)
@@ -187,7 +143,7 @@ def max_inequality_cgf_bound(envelopes: Sequence[CgfEnvelope], n: int) -> float:
     envelopes = list(envelopes)
     if len(envelopes) == 1:
         return envelopes[0].inverse_conjugate(math.log(n))
-    return _PointwiseMax(envelopes).inverse_conjugate_numeric(math.log(n))
+    return _PointwiseMax(envelopes).inverse_conjugate(math.log(n))
 
 
 def max_inequality_pnorm_bound(sigma_max: float, beta: float, n: int) -> float:

@@ -20,9 +20,15 @@ of a quasiconvex function of lam on (0, domain_sup): psi(lam) - lam*x for
 the conjugate (convex), and (psi(lam) + I)/lam for the inverse conjugate
 (quasiconvex, because psi is convex with psi(0) = 0).
 
-``evaluate`` checks lam >= 0 once and calls the envelope's unchecked
-``_psi``; the numeric searches call ``_psi`` directly, as they only probe
-lam in (0, domain_sup].
+Every envelope shares one argument contract, stated once in ``CgfEnvelope``:
+``evaluate`` checks lam >= 0 and calls the unchecked ``_psi``.  The four
+conjugate methods (``conjugate``, ``inverse_conjugate`` and their
+``*_numeric`` references) convert their argument with ``float``, raise
+ValueError below 0, return +0.0 at +-0 and hand anything else, NaN and +inf
+included, to the unchecked ``_conjugate`` / ``_inverse_conjugate`` (or
+their numeric counterparts).  A family overrides only those formulas.  The
+numeric searches call ``_psi`` directly, as they only probe lam in
+(0, domain_sup].
 """
 
 from __future__ import annotations
@@ -51,6 +57,32 @@ __all__ = [
 # to a pole for boundary-attained minima, far enough to stay finite in float64.
 _BOUNDARY_SHRINK = 1e-12
 
+# The largest first-segment slope a tabulated envelope may have, as its
+# stand-in for the zero right-derivative at the origin.
+_ORIGIN_SLOPE_TOL = 0.1
+
+_NEGATIVE_X = "conjugate argument must be nonnegative"
+_NEGATIVE_INFO = "information budget must be nonnegative"
+
+
+def _nonnegative(fn: Callable[[float], float], arg: float, message: str) -> float:
+    """The argument contract of psi* and (psi*)^{-1}: float(arg), ValueError
+    (message) below 0, +0.0 at +-0, and fn(arg) otherwise (NaN, +inf too)."""
+    arg = float(arg)
+    if arg < 0:
+        raise ValueError(message)
+    if arg == 0.0:
+        return 0.0
+    return fn(arg)
+
+
+def _legendre(f: Callable[[float], float], x: float, domain_sup: float) -> float:
+    hi = domain_sup * (1.0 - _BOUNDARY_SHRINK)
+    try:
+        return max(-minimize(lambda lam: f(lam) - lam * x, hi), 0.0)
+    except NumericDivergence:
+        return math.inf
+
 
 def legendre_transform(f: Callable[[float], float], x: float,
                        domain_sup: float = math.inf) -> float:
@@ -59,16 +91,7 @@ def legendre_transform(f: Callable[[float], float], x: float,
     f must be convex with f(0) = 0 (hence nonnegative), so the supremum is
     always >= 0; it is math.inf if lam*x - f(lam) still grows past 2**1000.
     """
-    x = float(x)
-    if x < 0:
-        raise ValueError("conjugate argument must be nonnegative")
-    if x == 0.0:
-        return 0.0
-    hi = domain_sup * (1.0 - _BOUNDARY_SHRINK)
-    try:
-        return max(-minimize(lambda lam: f(lam) - lam * x, hi), 0.0)
-    except NumericDivergence:
-        return math.inf
+    return _nonnegative(lambda t: _legendre(f, t, domain_sup), x, _NEGATIVE_X)
 
 
 class CgfEnvelope:
@@ -89,25 +112,31 @@ class CgfEnvelope:
 
     def conjugate(self, x: float) -> float:
         """Convex conjugate psi*(x) for x >= 0 (closed form when available)."""
-        return self.conjugate_numeric(x)
+        return _nonnegative(self._conjugate, x, _NEGATIVE_X)
 
     def conjugate_numeric(self, x: float) -> float:
         """psi*(x) by numeric maximization (``legendre_transform``)."""
-        return legendre_transform(self._psi, x, self.domain_sup)
+        return _nonnegative(self._conjugate_numeric, x, _NEGATIVE_X)
 
     def inverse_conjugate(self, info: float) -> float:
         """Generalized inverse of psi* at information budget info (nats)."""
-        return self.inverse_conjugate_numeric(info)
+        return _nonnegative(self._inverse_conjugate, info, _NEGATIVE_INFO)
 
     def inverse_conjugate_numeric(self, info: float) -> float:
         """inf over lam in (0, domain_sup) of (psi(lam) + info) / lam."""
-        info = float(info)
-        if info < 0:
-            raise ValueError("information budget must be nonnegative")
-        if info == 0.0:
-            return 0.0
+        return _nonnegative(self._inverse_conjugate_numeric, info, _NEGATIVE_INFO)
+
+    def _conjugate_numeric(self, x: float) -> float:
+        return _legendre(self._psi, x, self.domain_sup)
+
+    def _inverse_conjugate_numeric(self, info: float) -> float:
         return minimize(lambda lam: (self._psi(lam) + info) / lam,
                         self.domain_sup * (1.0 - _BOUNDARY_SHRINK))
+
+    # Unchecked psi* and (psi*)^{-1} at a float > 0, NaN or +inf: a family
+    # with a closed form overrides these two.
+    _conjugate = _conjugate_numeric
+    _inverse_conjugate = _inverse_conjugate_numeric
 
 
 @dataclass(frozen=True)
@@ -128,16 +157,10 @@ class SubGaussian(CgfEnvelope):
     def _psi(self, lam: float) -> float:
         return 0.5 * lam * lam * self.sigma * self.sigma
 
-    def conjugate(self, x: float) -> float:
-        x = float(x)
-        if x < 0:
-            raise ValueError("conjugate argument must be nonnegative")
+    def _conjugate(self, x: float) -> float:
         return x * x / (2.0 * self.sigma * self.sigma)
 
-    def inverse_conjugate(self, info: float) -> float:
-        info = float(info)
-        if info < 0:
-            raise ValueError("information budget must be nonnegative")
+    def _inverse_conjugate(self, info: float) -> float:
         return self.sigma * math.sqrt(2.0 * info)
 
 
@@ -163,19 +186,13 @@ class SubExponential(CgfEnvelope):
             return math.inf
         return 0.5 * lam * lam * self.sigma * self.sigma
 
-    def conjugate(self, x: float) -> float:
-        x = float(x)
-        if x < 0:
-            raise ValueError("conjugate argument must be nonnegative")
+    def _conjugate(self, x: float) -> float:
         s2 = self.sigma * self.sigma
         if x < s2 / self.b:
             return x * x / (2.0 * s2)
         return x / self.b - s2 / (2.0 * self.b * self.b)
 
-    def inverse_conjugate(self, info: float) -> float:
-        info = float(info)
-        if info < 0:
-            raise ValueError("information budget must be nonnegative")
+    def _inverse_conjugate(self, info: float) -> float:
         s2 = self.sigma * self.sigma
         if info <= s2 / (2.0 * self.b * self.b):
             return self.sigma * math.sqrt(2.0 * info)
@@ -205,21 +222,18 @@ class SubGamma(CgfEnvelope):
             return math.inf
         return 0.5 * lam * lam * self.sigma2 / (1.0 - self.c * lam)
 
-    def conjugate(self, x: float) -> float:
+    def _conjugate(self, x: float) -> float:
         # psi*(x) = (sigma2/c^2) h(cx/sigma2) with h(u) = 1 + u - sqrt(1 + 2u),
         # evaluated as u * u / (1 + u + sqrt(1 + 2u)): no cancellation at small
-        # u, and the division first keeps u * u from overflowing at large u
-        x = float(x)
-        if x < 0:
-            raise ValueError("conjugate argument must be nonnegative")
+        # u, and the division first keeps u * u from overflowing at large u.
+        # That quotient is inf/inf at x = +inf, where psi* is +inf.
+        if x == math.inf:
+            return math.inf
         u = self.c * x / self.sigma2
         h = u / (1.0 + u + math.sqrt(1.0 + 2.0 * u)) * u
         return self.sigma2 / (self.c * self.c) * h
 
-    def inverse_conjugate(self, info: float) -> float:
-        info = float(info)
-        if info < 0:
-            raise ValueError("information budget must be nonnegative")
+    def _inverse_conjugate(self, info: float) -> float:
         return math.sqrt(2.0 * self.sigma2 * info) + self.c * info
 
 
@@ -233,8 +247,7 @@ class Tabulated(CgfEnvelope):
     over the knots (lambda_max included).
     """
 
-    def __init__(self, lams: Sequence[float], psis: Sequence[float],
-                 origin_slope_tol: float = 0.1):
+    def __init__(self, lams: Sequence[float], psis: Sequence[float]):
         lams = np.asarray(lams, dtype=float)
         psis = np.asarray(psis, dtype=float)
         if lams.ndim != 1 or lams.shape != psis.shape or lams.size < 2:
@@ -248,7 +261,7 @@ class Tabulated(CgfEnvelope):
         slopes = np.diff(psis) / np.diff(lams)
         if np.any(np.diff(slopes) < -1e-9 * (1.0 + np.abs(slopes[:-1]))):
             raise ValueError("envelope values must be convex")
-        if slopes[0] > origin_slope_tol:
+        if slopes[0] > _ORIGIN_SLOPE_TOL:
             raise ValueError("slope at the origin must be (near) zero")
         self._lams = lams
         self._psis = psis
@@ -262,25 +275,18 @@ class Tabulated(CgfEnvelope):
             return math.inf
         return float(np.interp(lam, self._lams, self._psis))
 
-    def conjugate(self, x: float) -> float:
-        # lam*x - psi(lam) is linear between knots, so its sup is at a knot
-        x = float(x)
-        if x < 0:
-            raise ValueError("conjugate argument must be nonnegative")
-        if x == 0.0:
-            return 0.0
-        return float(np.max(self._lams[1:] * x - self._psis[1:],
-                            initial=max(0.0, -self._psis[0])))
+    def _conjugate(self, x: float) -> float:
+        # lam*x - psi(lam) is linear between knots, so its sup is at a knot;
+        # both reductions overflow to inf, quietly, at huge arguments
+        with np.errstate(over="ignore"):
+            return float(np.max(self._lams[1:] * x - self._psis[1:],
+                                initial=max(0.0, -self._psis[0])))
 
-    def inverse_conjugate(self, info: float) -> float:
+    def _inverse_conjugate(self, info: float) -> float:
         # on a segment (psi(lam) + info)/lam = slope + a/lam is monotone in
         # lam, so its infimum over (0, lambda_max] is at a knot lam_j > 0
-        info = float(info)
-        if info < 0:
-            raise ValueError("information budget must be nonnegative")
-        if info == 0.0:
-            return 0.0
-        return float(np.min((self._psis[1:] + info) / self._lams[1:]))
+        with np.errstate(over="ignore"):
+            return float(np.min((self._psis[1:] + info) / self._lams[1:]))
 
     @classmethod
     def from_csv(cls, path) -> "Tabulated":
@@ -316,7 +322,10 @@ class MixedEnvelope(CgfEnvelope):
         # finite at lam == domain_sup only if every positive-weight component is
         self._boundary_finite = math.isfinite(sup) and all(
             math.isfinite(psi(sup)) for _, psi in self._terms)
-        self._collapsed = self._collapse()
+        collapsed = self._collapse()
+        if collapsed is not None:  # its closed forms are the mixture's
+            self._conjugate = collapsed._conjugate
+            self._inverse_conjugate = collapsed._inverse_conjugate
 
     @property
     def domain_sup(self) -> float:
@@ -343,15 +352,23 @@ class MixedEnvelope(CgfEnvelope):
             return SubExponential(math.sqrt(s2), max(e.b for _, e in active))
         return None
 
-    def conjugate(self, x: float) -> float:
-        if self._collapsed is not None:
-            return self._collapsed.conjugate(x)
-        return self.conjugate_numeric(x)
 
-    def inverse_conjugate(self, info: float) -> float:
-        if self._collapsed is not None:
-            return self._collapsed.inverse_conjugate(info)
-        return self.inverse_conjugate_numeric(info)
+class _PointwiseMax(CgfEnvelope):
+    """psi(lam) = max_i psi_i(lam) on the smallest domain_sup: conjugates
+    numeric only."""
+
+    def __init__(self, envelopes: Sequence[CgfEnvelope]):
+        if not envelopes:
+            raise ValueError("need at least one envelope")
+        self._envs = tuple(envelopes)
+        self._domain = min(e.domain_sup for e in self._envs)
+
+    @property
+    def domain_sup(self) -> float:
+        return self._domain
+
+    def _psi(self, lam: float) -> float:
+        return max(e._psi(lam) for e in self._envs)
 
 
 def subexponential_piecewise_bound(sigma: float, b: float, info: float) -> float:
@@ -363,10 +380,11 @@ def subexponential_piecewise_bound(sigma: float, b: float, info: float) -> float
     """
     if not sigma > 0 or not b > 0:
         raise ValueError("sigma and b must be positive")
-    info = float(info)
-    if info < 0:
-        raise ValueError("information budget must be nonnegative")
     s2 = sigma * sigma
-    if info <= s2 / (2.0 * b):
-        return sigma * math.sqrt(2.0 * info)
-    return b * info + s2 / (2.0 * b * b)
+
+    def scale(info: float) -> float:
+        if info <= s2 / (2.0 * b):
+            return sigma * math.sqrt(2.0 * info)
+        return b * info + s2 / (2.0 * b * b)
+
+    return _nonnegative(scale, info, _NEGATIVE_INFO)

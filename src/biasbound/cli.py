@@ -25,7 +25,8 @@ from . import divergence as dv
 from . import orlicz as orz
 from . import simulate as sim
 from ._csv import Table
-from .cgf import Tabulated
+from .cgf import (SubExponential, SubGamma, Tabulated,
+                  subexponential_piecewise_bound)
 
 __all__ = ["main", "RunConfig", "ConfigError"]
 
@@ -342,13 +343,15 @@ def cmd_bound(cfg: RunConfig) -> bnd.BoundReport:
                          bnd.gaussian_bound(cfg.sigma, i_val, p_t), side="upper")
     elif family == "subgamma":
         _require(cfg, "sigma2", "c")
-        report.add_bound("subgamma",
-                         bnd.subgamma_bound(cfg.sigma2, cfg.c, i_val), side="upper")
+        env = SubGamma(cfg.sigma2, cfg.c)
+        report.add_bound("subgamma", env.inverse_conjugate(i_val), side="upper")
     elif family == "subexponential":
         _require(cfg, "sigma", "b")
-        sub = bnd.subexponential_bound(_one(cfg, "sigma"), cfg.b, i_val)
-        report.add_bound("subexponential", sub.canonical, side="upper")
-        report.add_bound("subexponential_piecewise", sub.piecewise, side="upper")
+        sigma = _one(cfg, "sigma")
+        env = SubExponential(sigma, cfg.b)
+        report.add_bound("subexponential", env.inverse_conjugate(i_val), side="upper")
+        report.add_bound("subexponential_piecewise",
+                         subexponential_piecewise_bound(sigma, cfg.b, i_val), side="upper")
     elif family == "tabulated":
         _require(cfg, "envelope")
         env = Tabulated.from_csv(cfg.envelope)

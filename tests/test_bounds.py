@@ -9,9 +9,9 @@ from biasbound.bounds import (BoundReport, conjugate_exponent, gaussian_bound,
                               max_inequality_orlicz_bound,
                               max_inequality_pnorm_bound, mgf_bound,
                               pnorm_bound, pnorm_uniform_bound,
-                              subexponential_bound, subgamma_bound,
                               weighted_beta_norm)
-from biasbound.cgf import SubExponential, SubGamma, SubGaussian
+from biasbound.cgf import (SubExponential, SubGamma, SubGaussian,
+                           subexponential_piecewise_bound)
 from biasbound.divergence import alpha_mi_cardinality_bound
 from biasbound.orlicz import power_orlicz
 
@@ -123,23 +123,25 @@ def test_closed_form_family_bounds():
     # vector sigma with weights
     val = gaussian_bound([1.0, 2.0], 0.5, [0.5, 0.5])
     assert val == pytest.approx(math.sqrt(2.5) * 1.0, rel=1e-14)
-    assert subgamma_bound(4.0, 2.0, math.log(2)) == pytest.approx(
+    subgamma = SubGamma(4.0, 2.0).inverse_conjugate(math.log(2))
+    assert subgamma == pytest.approx(
         2 * math.sqrt(2 * math.log(2)) + 2 * math.log(2), rel=1e-14)
-    assert subgamma_bound(4.0, 2.0, math.log(2)) == pytest.approx(
-        3.7411144061508397, rel=1e-14)
+    assert subgamma == pytest.approx(3.7411144061508397, rel=1e-14)
 
 
 def test_subexponential_bound_pair():
-    pair = subexponential_bound(1.0, 1.0, 2.0)
-    assert pair.canonical == pytest.approx(pair.piecewise, rel=1e-12)
-    pair = subexponential_bound(1.0, 2.0, 2.0)
-    assert pair.canonical == pytest.approx(4.25, rel=1e-12)
-    assert pair.piecewise == pytest.approx(4.125, rel=1e-12)
-    # the canonical value is the true minimum, so it is a valid upper bound
+    # the canonical bound and the printed piecewise form, as the CLI reports them
+    canonical = SubExponential(1.0, 1.0).inverse_conjugate(2.0)
+    assert canonical == pytest.approx(
+        subexponential_piecewise_bound(1.0, 1.0, 2.0), rel=1e-12)
     env = SubExponential(1.0, 2.0)
+    canonical = env.inverse_conjugate(2.0)
+    assert canonical == pytest.approx(4.25, rel=1e-12)
+    assert subexponential_piecewise_bound(1.0, 2.0, 2.0) == pytest.approx(4.125, rel=1e-12)
+    # the canonical value is the true minimum, so it is a valid upper bound
     lams = np.linspace(1e-6, 0.5 * (1 - 1e-9), 5001)
     direct = np.min((np.array([env.evaluate(l) for l in lams]) + 2.0) / lams)
-    assert pair.canonical <= direct + 1e-9
+    assert canonical <= direct + 1e-9
 
 
 def test_max_inequality_bounds():

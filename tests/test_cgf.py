@@ -458,14 +458,29 @@ def test_tabulated_last_knot_is_exact():
 def test_negative_lambda_raises_on_every_family():
     grid = np.linspace(0, 2, 21)
     tab = Tabulated(grid, grid ** 2 / 2)
+    collapsed = MixedEnvelope([(0.5, SubGamma(1.0, 0.5)), (0.5, SubGamma(2.0, 0.5))])
     for env in (SubGaussian(1.0), SubExponential(1.0, 1.0), SubGamma(1.0, 1.0), tab,
-                MixedEnvelope([(0.5, SubGaussian(1.0)), (0.5, tab)]),
+                collapsed, MixedEnvelope([(0.5, SubGaussian(1.0)), (0.5, tab)]),
                 _PointwiseMax([SubGaussian(1.0), SubGamma(1.0, 1.0)])):
         for lam in (-1e-300, -0.5, -math.inf, np.float64(-1.0)):
             with pytest.raises(ValueError, match="lambda must be nonnegative"):
                 env.evaluate(lam)
         assert env.evaluate(0.0) == 0.0
         assert math.isnan(env.evaluate(math.nan))
+        # psi*, (psi*)^{-1} and their numeric references share one contract
+        for method, message in (
+                ("conjugate", "conjugate argument must be nonnegative"),
+                ("conjugate_numeric", "conjugate argument must be nonnegative"),
+                ("inverse_conjugate", "information budget must be nonnegative"),
+                ("inverse_conjugate_numeric", "information budget must be nonnegative")):
+            f = getattr(env, method)
+            for arg in (-1e-300, -0.5, -math.inf):
+                with pytest.raises(ValueError, match=message):
+                    f(arg)
+            for zero in (0.0, -0.0):
+                assert f(zero) == 0.0 and math.copysign(1.0, f(zero)) == 1.0
+            assert math.isnan(f(math.nan))
+            assert f(math.inf) == math.inf
 
 
 def test_mixture_boundary_rule_and_zero_weights():

@@ -76,6 +76,12 @@ CORPUS = [
                          "--I", "1"]),
     ("bound-tabulated-last-knot", ["bound", "--family", "tabulated", "--envelope",
                                    "{tmp}/env.csv", "--I", "50"]),
+    ("bound-tabulated-overflow", ["bound", "--family", "tabulated", "--envelope",
+                                  "{tmp}/env.csv", "--I", "1e308"]),
+    ("bound-subgamma-negative-zero-info", ["bound", "--family", "subgamma", "--sigma2", "1",
+                                           "--c", "0.5", "--I", "-0", "--format", "csv"]),
+    ("bound-subexponential-zero-info", ["bound", "--family", "subexponential", "--sigma",
+                                        "1", "--b", "2", "--I", "0"]),
     ("bound-pnorm-ialpha", ["bound", "--family", "pnorm", "--beta", "3", "--sigma", "1,2",
                             "--i-alpha", "0.7"]),
     ("bound-pnorm-joint", ["bound", "--family", "pnorm", "--beta", "2", "--sigma", "1",
@@ -121,6 +127,10 @@ CORPUS = [
     ("bound-err-wide-pt", ["bound", "--family", "gaussian", "--sigma", "1", "--I", "1",
                            "--p-t", "{tmp}/wide_pt.csv"]),
     ("bound-err-nan-config", ["bound", "--config", "{tmp}/nan.cfg"]),
+    ("bound-err-subgamma-c", ["bound", "--family", "subgamma", "--sigma2", "1", "--c", "-1",
+                              "--I", "1"]),
+    ("bound-err-subexponential-b", ["bound", "--family", "subexponential", "--sigma", "1",
+                                    "--b", "0", "--I", "1"]),
 ]
 
 for model in ("gaussian", "exponential", "heavytail"):
