@@ -21,7 +21,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cgf import CgfEnvelope, MixedEnvelope, _PointwiseMax
+from .cgf import (_NEGATIVE_INFO, CgfEnvelope, MixedEnvelope, _PointwiseMax,
+                  _nonnegative)
 from .orlicz import OrliczFunction
 
 __all__ = [
@@ -130,8 +131,7 @@ def pnorm_uniform_bound(sigmas, beta: float, n: int, p_t=None) -> UniformPnormBo
 
 def gaussian_bound(sigmas, info: float, p_t=None) -> float:
     """Sub-Gaussian closed form ||sigma_T||_2 * sqrt(2 * info)."""
-    if info < 0:
-        raise ValueError("information budget must be nonnegative")
+    info = _nonnegative(float, info, _NEGATIVE_INFO)  # +0.0 at -0.0
     return weighted_beta_norm(sigmas, p_t, 2.0) * math.sqrt(2.0 * info)
 
 

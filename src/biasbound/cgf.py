@@ -61,6 +61,9 @@ _BOUNDARY_SHRINK = 1e-12
 # stand-in for the zero right-derivative at the origin.
 _ORIGIN_SLOPE_TOL = 0.1
 
+# Above this, doubling a float overflows.
+_HALF_MAX = float(np.finfo(float).max) / 2.0
+
 _NEGATIVE_X = "conjugate argument must be nonnegative"
 _NEGATIVE_INFO = "information budget must be nonnegative"
 
@@ -226,10 +229,17 @@ class SubGamma(CgfEnvelope):
         # psi*(x) = (sigma2/c^2) h(cx/sigma2) with h(u) = 1 + u - sqrt(1 + 2u),
         # evaluated as u * u / (1 + u + sqrt(1 + 2u)): no cancellation at small
         # u, and the division first keeps u * u from overflowing at large u.
-        # That quotient is inf/inf at x = +inf, where psi* is +inf.
-        if x == math.inf:
-            return math.inf
         u = self.c * x / self.sigma2
+        if u > _HALF_MAX:
+            # 2u (or u itself) overflows: expand in t = x/c without forming u,
+            # psi* = t + sigma2/c^2 - (sigma/c) sqrt(2) sqrt(t) sqrt(1 + sigma2/(2cx)).
+            # psi* >= t/2 here, so it is +inf with t (where inf - inf would be NaN).
+            t = x / self.c
+            if t == math.inf:
+                return math.inf
+            return (t + self.sigma2 / (self.c * self.c)
+                    - math.sqrt(self.sigma2) / self.c * math.sqrt(2.0) * math.sqrt(t)
+                    * math.sqrt(1.0 + self.sigma2 / (2.0 * self.c * x)))
         h = u / (1.0 + u + math.sqrt(1.0 + 2.0 * u)) * u
         return self.sigma2 / (self.c * self.c) * h
 

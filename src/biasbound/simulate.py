@@ -23,7 +23,10 @@ I_alpha where a closed form exists (argmax, argmin, fixed, top-k).
 ``bounds_for`` turns those facts into the named bounds that ``simulate``
 reports and ``sweep`` tabulates.  Only a rule without a closed form
 (softmax) has its dependence estimated, from its conditional distribution
-P(T | data) over the trials, which needs a second pass (a replay).
+q = P(T | data) in the same pass as the selection.  Every model is i.i.d.
+and softmax treats all indices alike, so its marginal P(T = i) is exactly
+1/n, known before the first trial, and both measures are trial averages:
+I = ln n + E[sum_i q_i ln q_i] and I_alpha = E[sum_i (1/n) |n q_i - 1|^alpha].
 """
 
 from __future__ import annotations
@@ -41,8 +44,7 @@ from scipy import integrate, special
 from .bounds import (conjugate_exponent, max_inequality_cgf_bound,
                      max_inequality_pnorm_bound, pnorm_bound, pnorm_uniform_bound)
 from .cgf import CgfEnvelope, SubGamma, SubGaussian
-from .divergence import (DiscreteJoint, alpha_mi_marginal_bound,
-                         alpha_mutual_information, mutual_information)
+from .divergence import DiscreteJoint, alpha_mi_marginal_bound, mutual_information
 
 __all__ = [
     "GaussianIID",
@@ -408,11 +410,14 @@ class ExperimentResult:
     ``i`` and ``i_alpha`` are the dependence of T on the data, I(T; data)
     and I_alpha keyed by alpha.  ``estimator`` says where they come from:
     ``"analytic"`` is the rule's exact closed form (argmax, argmin, fixed,
-    top-k); ``"rule_conditional"`` averages the rule's known conditional
-    distribution P(T | data) over the trials (softmax).  ``i_plugin`` and
-    ``i_alpha_plugin`` are plug-in estimates from the joint of (T,
-    rank-binned probe coordinate); by data processing they lower-bound the
-    true dependence.
+    top-k); ``"rule_conditional"`` averages a function of the rule's known
+    conditional distribution q = P(T | data) over the trials (softmax).  The
+    marginal of T is exactly uniform there (i.i.d. coordinates, a rule that
+    treats all indices alike), so I = ln n + mean of sum_i q_i ln q_i and
+    I_alpha = mean of sum_i (1/n) |n q_i - 1|^alpha, with no estimated
+    marginal plugged in.  ``i_plugin`` is the plug-in I from the joint of
+    (T, rank-binned probe coordinate); by data processing it lower-bounds
+    the true I.
     """
 
     model_label: str
@@ -427,7 +432,6 @@ class ExperimentResult:
     stderr: float
     t_counts: np.ndarray
     i_plugin: float
-    i_alpha_plugin: Dict[str, float]
     i: float
     i_alpha: Dict[str, float]
     estimator: str
@@ -461,10 +465,12 @@ def run_experiment(model, rule, trials: int, seed: int = 0, *,
     if int(workers) < 1:
         raise ValueError("workers must be >= 1")
     alphas = list(alphas)
+    if any(a < 1 for a in alphas):
+        raise ValueError("alpha must be >= 1")
     exact = rule.dependence(n, alphas)
 
-    t_idx, u_sel, u_probe, q_sum, q_ln_q = _main_pass(model, rule, trials, seed, probe,
-                                                      workers, exact is None)
+    t_idx, u_sel, u_probe, sums = _main_pass(model, rule, trials, seed, probe, workers,
+                                             None if exact is not None else alphas)
 
     phi_sel = np.asarray(model.inverse_cdf(u_sel), dtype=float)
     deviations = phi_sel - model.mean
@@ -473,25 +479,20 @@ def run_experiment(model, rule, trials: int, seed: int = 0, *,
     stderr = float(np.std(deviations, ddof=1) / math.sqrt(trials)) if trials > 1 \
         else math.nan
 
-    # plug-in dependence from the (T, rank-binned probe) joint
+    # plug-in I from the (T, rank-binned probe) joint
     order = np.argsort(u_probe, kind="stable")
     ranks = np.empty(trials, dtype=np.int64)
     ranks[order] = np.arange(trials, dtype=np.int64)
     bin_idx = ranks * bins // trials
     counts = np.zeros((n, bins), dtype=np.int64)
     np.add.at(counts, (t_idx, bin_idx), 1)
-    joint = DiscreteJoint(counts / trials)
-    i_plugin = mutual_information(joint)
-    i_alpha_plugin = {_alpha_key(a): alpha_mutual_information(joint, a)
-                      for a in alphas}
+    i_plugin = mutual_information(DiscreteJoint(counts / trials))
 
     if exact is not None:
         (i, i_alpha), estimator = exact, "analytic"
     else:
-        p_bar = q_sum / trials
-        i = max(0.0, -float(np.sum(special.xlogy(p_bar, p_bar))) + q_ln_q / trials)
-        totals = _alpha_pass(model, rule, trials, seed, p_bar, alphas, workers)
-        i_alpha = {_alpha_key(a): max(0.0, float(totals[j]) / trials)
+        i = max(0.0, math.log(n) + float(sums[0]) / trials)
+        i_alpha = {_alpha_key(a): float(sums[1 + j]) / (n * trials)
                    for j, a in enumerate(alphas)}
         estimator = "rule_conditional"
 
@@ -499,8 +500,7 @@ def run_experiment(model, rule, trials: int, seed: int = 0, *,
         model_label=model.label, rule_label=rule.label, n=n, trials=trials,
         seed=seed, bins=bins, probe=probe, selected_mean=selected_mean,
         bias=bias, stderr=stderr, t_counts=np.bincount(t_idx, minlength=n),
-        i_plugin=i_plugin, i_alpha_plugin=i_alpha_plugin,
-        i=i, i_alpha=i_alpha, estimator=estimator)
+        i_plugin=i_plugin, i=i, i_alpha=i_alpha, estimator=estimator)
 
 
 def _run_chunks(chunk_fn, trials: int, workers: int):
@@ -537,23 +537,26 @@ def _tiles(seed: int, lo: int, hi: int, n: int, extra: bool):
 
 def _in_order_sum(acc, rows):
     """acc + rows[0] + rows[1] + ..., added one row at a time in order."""
-    return np.cumsum(np.concatenate([np.asarray(acc)[None], rows]), axis=0)[-1]
+    return np.cumsum(np.concatenate([acc[None], rows]), axis=0)[-1]
 
 
-def _main_pass(model, rule, trials, seed, probe, workers, conditional):
+def _main_pass(model, rule, trials, seed, probe, workers, alphas=None):
     """Per trial: the selected index, its uniform and the probe uniform.
 
-    With ``conditional`` it also gives sum_t q_t and sum_t sum_i q_ti ln q_ti
-    for q_t = P(T | trial t) from the rule's conditional_probs; else zeros.
+    Given ``alphas`` (a rule without a closed-form dependence), also the
+    dependence sums over trials of q_t = P(T | trial t), the rule's
+    conditional_probs: [sum_t sum_i q_ti ln q_ti] then, per alpha,
+    sum_t sum_i |n q_ti - 1|^alpha; else None.  Each trial's row is summed
+    pairwise and the rows are added in trial order.
     """
     n = model.n
     t_idx = np.empty(trials, dtype=np.int64)
     u_sel = np.empty(trials, dtype=float)
     u_probe = np.empty(trials, dtype=float)
+    conditional = alphas is not None
 
     def chunk(lo: int, hi: int):
-        q_sum = np.zeros(n)
-        q_ln_q = 0.0
+        acc = np.zeros(1 + len(alphas)) if conditional else None
         for start, u, r in _tiles(seed, lo, hi, n, not rule.deterministic):
             v = model.inverse_cdf(u) if rule.needs_values else u
             q = rule.conditional_probs(v) if conditional else None
@@ -563,42 +566,16 @@ def _main_pass(model, rule, trials, seed, probe, workers, conditional):
             u_sel[rows] = u[np.arange(len(u)), k]
             u_probe[rows] = u[:, probe]
             if conditional:
-                q_sum = _in_order_sum(q_sum, q)
-                q_ln_q = float(_in_order_sum(q_ln_q, special.xlogy(q, q).sum(axis=1)))
-        return q_sum, q_ln_q
-
-    q_sum = np.zeros(n)
-    q_ln_q = 0.0
-    for qs, ql in _run_chunks(chunk, trials, workers):
-        q_sum += qs
-        q_ln_q += ql
-    return t_idx, u_sel, u_probe, q_sum, q_ln_q
-
-
-def _alpha_pass(model, rule, trials, seed, p_bar, alphas, workers) -> np.ndarray:
-    """sum_t sum_i p_bar_i |q_ti/p_bar_i - 1|^alpha per alpha, by replaying
-    the trials: the sum needs p_bar, which is known only after every trial."""
-    support = p_bar > 0
-    ps = p_bar[support]
-
-    def chunk(lo: int, hi: int):
-        acc = np.zeros(len(alphas))
-        for _, u, _ in _tiles(seed, lo, hi, model.n, False):
-            v = model.inverse_cdf(u) if rule.needs_values else u
-            # compress keeps rows C-contiguous (q[:, support] would not), so each
-            # row sums pairwise exactly like the 1-D sum of one trial
-            q = np.compress(support, rule.conditional_probs(v), axis=1)
-            ratio_dev = np.abs(q / ps - 1.0)
-            sums = np.empty((len(u), len(alphas)))
-            for j, a in enumerate(alphas):
-                sums[:, j] = (ps * ratio_dev ** a).sum(axis=1)
-            acc = _in_order_sum(acc, sums)
+                dev = np.abs(n * q - 1.0)  # |L - 1|, L = q_ti / (1/n)
+                sums = np.empty((len(u), 1 + len(alphas)))
+                sums[:, 0] = special.xlogy(q, q).sum(axis=1)
+                for j, a in enumerate(alphas):
+                    sums[:, 1 + j] = (dev ** a).sum(axis=1)
+                acc = _in_order_sum(acc, sums)
         return acc
 
-    totals = np.zeros(len(alphas))
-    for acc in _run_chunks(chunk, trials, workers):
-        totals += acc
-    return totals
+    chunks = _run_chunks(chunk, trials, workers)  # summed in chunk order
+    return t_idx, u_sel, u_probe, sum(chunks) if conditional else None
 
 
 # ---------------------------------------------------------------------------

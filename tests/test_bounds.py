@@ -203,6 +203,19 @@ def test_bound_report_json_and_csv():
     assert "nan" in rep.to_csv()
 
 
+def test_gaussian_bound_signed_zero_budget():
+    # the envelopes' argument contract: -0.0 and +0.0 both give +0.0
+    for info in (-0.0, 0.0):
+        for sigma in (1.0, 0.0):
+            got = gaussian_bound(sigma, info)
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0, (sigma, info)
+    with pytest.raises(ValueError, match="information budget must be nonnegative"):
+        gaussian_bound(1.0, -1e-300)
+    # invalid sigmas still raise at a zero budget
+    with pytest.raises(ValueError, match="sigma values must be nonnegative"):
+        gaussian_bound([math.nan], -0.0)
+
+
 def test_nan_sigma_or_pt_raises():
     with pytest.raises(ValueError, match="sigma values must be nonnegative"):
         gaussian_bound([math.nan], 1.0)

@@ -109,6 +109,25 @@ def test_subgamma_conjugate_mpmath_oracle():
     assert SubGamma(1.0, 1.0).conjugate(1e300) == pytest.approx(1e300, rel=1e-13)
 
 
+@pytest.mark.parametrize("sigma2,c,x", [(1.0, 1.0, 1e308),     # 2u overflows
+                                        (0.01, 1.0, 1e307),    # u overflows
+                                        (1e-300, 1.0, 1e10)])  # u overflows, small x
+def test_subgamma_conjugate_past_overflow_of_u(sigma2, c, x):
+    env = SubGamma(sigma2, c)
+    assert env.conjugate(x) == pytest.approx(env.conjugate_numeric(x), rel=1e-9)
+    # psi* past the largest float is +inf, not inf - inf
+    assert SubGamma(sigma2, 0.5).conjugate(1e308) == math.inf
+
+
+def test_subgamma_conjugate_continuous_across_the_large_u_switch():
+    # at sigma2 = c = 1, u = x: the last x whose 2u is finite, and the next one
+    env = SubGamma(1.0, 1.0)
+    last = np.finfo(float).max / 2.0
+    after = float(np.nextafter(last, math.inf))
+    assert env.conjugate(after) == pytest.approx(env.conjugate(last), rel=1e-15)
+    assert env.conjugate(last) < env.conjugate(after)
+
+
 def test_subexponential_conjugate_piecewise():
     env = SubExponential(1.0, 2.0)
     s2 = 1.0

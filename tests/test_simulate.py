@@ -207,7 +207,6 @@ def test_run_experiment_determinism_across_workers():
     assert a.stderr == b.stderr
     assert a.selected_mean == b.selected_mean
     assert a.i_plugin == b.i_plugin
-    assert a.i_alpha_plugin == b.i_alpha_plugin
     assert a.i == b.i
     assert np.array_equal(a.t_counts, b.t_counts)
 
@@ -317,16 +316,17 @@ def test_closed_form_dependence_matches_exact_joint():
 
 @pytest.mark.parametrize("rule", [ArgMax(), ArgMin(), FixedIndex(2), TopKUniform(3),
                                   SoftMax(0.5)], ids=lambda r: r.label)
-def test_only_softmax_replays_its_conditional(monkeypatch, rule):
+def test_only_softmax_estimates_its_conditional(monkeypatch, rule):
     calls = []
-    replay = simulate._alpha_pass
-    monkeypatch.setattr(simulate, "_alpha_pass",
-                        lambda *args: calls.append(args) or replay(*args))
+    probs = SoftMax.conditional_probs
+    monkeypatch.setattr(SoftMax, "conditional_probs",
+                        lambda self, v: calls.append(v.shape) or probs(self, v))
     res = run_experiment(HeavyTailIID(n=8), rule, trials=50, seed=1)
     conditional = isinstance(rule, SoftMax)
     assert res.estimator == ("rule_conditional" if conditional else "analytic")
-    assert len(calls) == int(conditional)
     assert hasattr(rule, "conditional_probs") == conditional
+    # one pass: the 50 trials fit one tile, whose q is computed once
+    assert calls == ([(50, 8)] if conditional else [])
 
 
 def test_softmax_dependence_estimates():
@@ -341,6 +341,45 @@ def test_softmax_dependence_estimates():
     assert cold.bias > res.bias
     assert res.i < cold.i <= math.log(5) + 1e-9
     assert cold.i == pytest.approx(math.log(5), abs=0.1)
+
+
+def test_softmax_single_trial_uses_the_exact_uniform_marginal():
+    # P(T = i) = 1/n exactly, so one trial gives I = ln n + sum_i q_i ln q_i;
+    # a marginal estimated from that same trial (p_bar = q) would give 0
+    n, seed = 5, 3
+    model, rule = GaussianIID(n=n), SoftMax(0.5)
+    res = run_experiment(model, rule, trials=1, seed=seed, alphas=(1.5, 2.0))
+    rng = trial_rng(seed, 0)
+    q = reference_rule(rule, model.inverse_cdf(rng.random(n)), rng)[1]
+    assert res.i == pytest.approx(math.log(n) + float(np.sum(special.xlogy(q, q))),
+                                  rel=1e-12)
+    assert res.i > 0.1
+    for a in (1.5, 2.0):
+        assert res.i_alpha[f"{a:g}"] == pytest.approx(
+            float(np.sum(np.abs(n * q - 1.0) ** a)) / n, rel=1e-12)
+
+
+def test_softmax_two_coordinates_against_quadrature():
+    # n = 2: q_1 = expit(D / tau) with D = X_1 - X_2 ~ N(0, 2), so
+    # I = ln 2 - E[H_b(q_1)] and I_alpha = E|2 q_1 - 1|^alpha = E|tanh(D / 2 tau)|^alpha
+    tau, trials, alphas = 0.5, 20_000, (1.5, 2.0)
+    res = run_experiment(GaussianIID(n=2), SoftMax(tau), trials=trials, seed=17,
+                         alphas=alphas)
+
+    def expect(f):
+        return integrate.quad(lambda d: f(d) * norm.pdf(d, scale=math.sqrt(2.0)),
+                              -np.inf, np.inf, epsabs=1e-12)[0]
+
+    def binary_entropy(d):
+        p = special.expit(d / tau)
+        return special.entr(p) + special.entr(1.0 - p)
+
+    # per-trial terms lie in [0, 1], so their standard deviation is at most 0.5
+    tol = 4 * 0.5 / math.sqrt(trials)
+    assert abs(res.i - (math.log(2.0) - expect(binary_entropy))) <= tol
+    for a in alphas:
+        want = expect(lambda d: abs(math.tanh(d / (2.0 * tau))) ** a)
+        assert abs(res.i_alpha[f"{a:g}"] - want) <= tol, a
 
 
 def test_probe_plugin_refinement_is_monotone():
@@ -373,6 +412,9 @@ def test_run_experiment_errors():
         run_experiment(model, TopKUniform(5), trials=10, seed=1)
     with pytest.raises(ValueError):
         run_experiment(model, ArgMax(), trials=10, seed=-3)
+    for rule in (TopKUniform(2), SoftMax(1.0)):
+        with pytest.raises(ValueError, match="alpha must be >= 1"):
+            run_experiment(model, rule, trials=10, seed=1, alphas=(2.0, 0.5))
     with pytest.raises(ValueError):
         SoftMax(0.0)
     with pytest.raises(ValueError):
@@ -498,48 +540,31 @@ def reference_rule(rule, v, rng):
     return min(k, len(q) - 1), q
 
 
-def reference_main_pass(model, rule, trials, seed, probe, workers, conditional):
+def reference_main_pass(model, rule, trials, seed, probe, workers, alphas=None):
     n = model.n
     t_idx, u_sel, u_probe = np.empty(trials, np.int64), np.empty(trials), np.empty(trials)
-    q_sum, q_ln_q = np.zeros(n), 0.0
+    width = 1 + len(alphas) if alphas is not None else 0
+    totals = np.zeros(width)
     for lo in range(0, trials, 1024):  # per-chunk sums, added in chunk order
-        qs, ql = np.zeros(n), 0.0
+        acc = np.zeros(width)
         for t in range(lo, min(lo + 1024, trials)):
             rng = trial_rng(seed, t)
             u = rng.random(n)
             v = model.inverse_cdf(u) if rule.needs_values else u
             t_idx[t], q = reference_rule(rule, v, rng)
-            assert conditional == (q is not None)
+            assert (alphas is not None) == (q is not None)
             u_sel[t], u_probe[t] = u[t_idx[t]], u[probe]
-            if q is not None:
-                qs += q
-                ql += float(np.sum(special.xlogy(q, q)))
-        q_sum += qs
-        q_ln_q += ql
-    return t_idx, u_sel, u_probe, q_sum, q_ln_q
-
-
-def reference_alpha_pass(model, rule, trials, seed, p_bar, alphas, workers):
-    support = p_bar > 0
-    ps = p_bar[support]
-    totals = np.zeros(len(alphas))
-    for lo in range(0, trials, 1024):
-        acc = np.zeros(len(alphas))
-        for t in range(lo, min(lo + 1024, trials)):
-            rng = trial_rng(seed, t)
-            u = rng.random(model.n)
-            v = model.inverse_cdf(u) if rule.needs_values else u
-            q = reference_rule(rule, v, rng)[1]
-            for j, a in enumerate(alphas):
-                acc[j] += float(np.sum(ps * np.abs(q[support] / ps - 1.0) ** a))
+            if q is not None:  # against the exact uniform marginal 1/n
+                acc[0] += float(np.sum(special.xlogy(q, q)))
+                for j, a in enumerate(alphas):
+                    acc[1 + j] += float(np.sum(np.abs(n * q - 1.0) ** a))
         totals += acc
-    return totals
+    return t_idx, u_sel, u_probe, totals if alphas is not None else None
 
 
 def reference_experiment(monkeypatch, *args, **kwargs):
     with monkeypatch.context() as m:
         m.setattr(simulate, "_main_pass", reference_main_pass)
-        m.setattr(simulate, "_alpha_pass", reference_alpha_pass)
         return run_experiment(*args, **kwargs)
 
 
@@ -599,8 +624,8 @@ def test_trial_stream_is_keyed_philox_and_any_subset_agrees():
                         assert r is None
     # a run over fewer trials repeats the first trials of a longer one
     model, rule = HeavyTailIID(n=30), SoftMax(0.5)
-    short = simulate._main_pass(model, rule, 700, 9, 0, 1, True)
-    long = simulate._main_pass(model, rule, 2100, 9, 0, 3, True)
+    short = simulate._main_pass(model, rule, 700, 9, 0, 1, (2.0,))
+    long = simulate._main_pass(model, rule, 2100, 9, 0, 3, (2.0,))
     for a, b in zip(short[:3], long[:3]):
         assert np.array_equal(a, b[:700])
     # every 64-bit seed is its own key: 2**64 - 1 is not seed 0

@@ -58,6 +58,8 @@ FILES = {
 
 SIM = ["simulate", "--n", "6", "--trials", "400", "--seed", "3"]
 SWEEP = ["sweep", "--trials", "300", "--seed", "5"]
+SOFTMAX_CHUNKS = ["simulate", "--model", "gaussian", "--rule", "softmax:0.5", "--n", "9",
+                  "--trials", "2500", "--seed", "11"]
 
 CORPUS = [
     # bound
@@ -80,6 +82,8 @@ CORPUS = [
                                   "{tmp}/env.csv", "--I", "1e308"]),
     ("bound-subgamma-negative-zero-info", ["bound", "--family", "subgamma", "--sigma2", "1",
                                            "--c", "0.5", "--I", "-0", "--format", "csv"]),
+    ("bound-gaussian-neg-zero", ["bound", "--family", "gaussian", "--sigma", "1",
+                                 "--I", "-0", "--format", "csv"]),
     ("bound-subexponential-zero-info", ["bound", "--family", "subexponential", "--sigma",
                                         "1", "--b", "2", "--I", "0"]),
     ("bound-pnorm-ialpha", ["bound", "--family", "pnorm", "--beta", "3", "--sigma", "1,2",
@@ -163,7 +167,11 @@ CORPUS += [
     ("simulate-exponential-topk-n257", ["simulate", "--model", "exponential",
                                         "--rule", "topk:3", "--n", "257",
                                         "--trials", "2049", "--workers", "3"]),
+    # a twin pair that must hash the same: 3 chunks on 1 and on 3 workers
+    ("simulate-gaussian-softmax-workers1", SOFTMAX_CHUNKS + ["--workers", "1"]),
+    ("simulate-gaussian-softmax-workers3", SOFTMAX_CHUNKS + ["--workers", "3"]),
     ("simulate-topk-k-equals-n", SIM + ["--rule", "topk:6"]),
+    ("simulate-err-alpha", SIM + ["--rule", "softmax:0.5", "--alphas", "0.5"]),
     ("simulate-err-rule", ["simulate", "--rule", "bogus"]),
     ("simulate-err-fixed-range", ["simulate", "--rule", "fixed:99", "--n", "4"]),
     ("simulate-err-topk-zero", ["simulate", "--rule", "topk:0"]),
