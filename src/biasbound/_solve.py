@@ -32,9 +32,10 @@ def minimize(f: Callable[[float], float], hi: float) -> float:
     NumericDivergence is raised (no minimum in range: f may be unbounded
     below, or its infimum may only be approached at infinity).  A log grid
     over [hi * 1e-18, hi] then brackets the minimiser, rescanning 18 decades
-    further left while the minimum sits on the left edge, and golden section
-    refines the bracket.  Returns the smallest value f took at any probe, so
-    a minimum attained exactly at hi is not rounded inward.
+    further left (down to 1e-300) while the minimum sits on the left edge or
+    is +inf, and golden section refines the bracket.  Returns the smallest
+    value f took at any probe, so a minimum attained exactly at hi is not
+    rounded inward.
     """
     if math.isinf(hi):
         hi, f_hi = 1.0, f(1.0)
@@ -47,7 +48,7 @@ def minimize(f: Callable[[float], float], hi: float) -> float:
         grid = np.geomspace(hi * _SPAN, hi, _GRID)
         vals = [f(float(t)) for t in grid]
         i = _GRID - 1 - int(np.argmin(vals[::-1]))  # last minimum: ties do not widen
-        if i > 0 or grid[0] < _FLOOR:
+        if (i > 0 and vals[i] < math.inf) or grid[0] < _FLOOR:
             break
         hi = float(grid[1])
     a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, _GRID - 1)])

@@ -193,11 +193,11 @@ class SubExponential(CgfEnvelope):
         s2 = self.sigma * self.sigma
         if x < s2 / self.b:
             return x * x / (2.0 * s2)
-        return x / self.b - s2 / (2.0 * self.b * self.b)
+        return (x - s2 / (2.0 * self.b)) / self.b  # no b * b to underflow
 
     def _inverse_conjugate(self, info: float) -> float:
         s2 = self.sigma * self.sigma
-        if info <= s2 / (2.0 * self.b * self.b):
+        if info <= s2 / (2.0 * self.b) / self.b:
             return self.sigma * math.sqrt(2.0 * info)
         return self.b * info + s2 / (2.0 * self.b)
 
@@ -227,8 +227,8 @@ class SubGamma(CgfEnvelope):
 
     def _conjugate(self, x: float) -> float:
         # psi*(x) = (sigma2/c^2) h(cx/sigma2) with h(u) = 1 + u - sqrt(1 + 2u),
-        # evaluated as u * u / (1 + u + sqrt(1 + 2u)): no cancellation at small
-        # u, and the division first keeps u * u from overflowing at large u.
+        # evaluated as x^2 / (sigma2 (1 + u + sqrt(1 + 2u))) with one x last:
+        # no cancellation at small u, no c^2 to underflow, no x^2 to overflow.
         u = self.c * x / self.sigma2
         if u > _HALF_MAX:
             # 2u (or u itself) overflows: expand in t = x/c without forming u,
@@ -240,8 +240,7 @@ class SubGamma(CgfEnvelope):
             return (t + self.sigma2 / (self.c * self.c)
                     - math.sqrt(self.sigma2) / self.c * math.sqrt(2.0) * math.sqrt(t)
                     * math.sqrt(1.0 + self.sigma2 / (2.0 * self.c * x)))
-        h = u / (1.0 + u + math.sqrt(1.0 + 2.0 * u)) * u
-        return self.sigma2 / (self.c * self.c) * h
+        return x / self.sigma2 / (1.0 + u + math.sqrt(1.0 + 2.0 * u)) * x
 
     def _inverse_conjugate(self, info: float) -> float:
         return math.sqrt(2.0 * self.sigma2 * info) + self.c * info
@@ -395,6 +394,6 @@ def subexponential_piecewise_bound(sigma: float, b: float, info: float) -> float
     def scale(info: float) -> float:
         if info <= s2 / (2.0 * b):
             return sigma * math.sqrt(2.0 * info)
-        return b * info + s2 / (2.0 * b * b)
+        return b * info + s2 / (2.0 * b) / b
 
     return _nonnegative(scale, info, _NEGATIVE_INFO)

@@ -322,7 +322,7 @@ def cmd_bound(cfg: RunConfig) -> bnd.BoundReport:
         if i_alpha is None:
             raise ConfigError("pnorm bound needs --i-alpha, --joint, or --uniform")
         value = bnd.pnorm_bound(cfg.sigma, p_t, cfg.beta, i_alpha)
-        report.dependence = {"I": i_val, "I_alpha": {f"{alpha:g}": i_alpha}}
+        report.dependence = {"I": i_val, "I_alpha": {sim._alpha_key(alpha): i_alpha}}
         report.add_bound("pnorm", value)
         return report
 
@@ -403,8 +403,9 @@ def cmd_estimate(cfg: RunConfig) -> Dict:
     joint = dv.DiscreteJoint.from_csv(cfg.joint)
     alphas = cfg.alphas or [2.0]
     i_val = dv.mutual_information(joint)
-    i_alpha = {f"{a:g}": dv.alpha_mutual_information(joint, a) for a in alphas}
-    marginal = {f"{a:g}": dv.alpha_mi_marginal_bound(joint.p_rows, a) for a in alphas}
+    i_alpha = {sim._alpha_key(a): dv.alpha_mutual_information(joint, a) for a in alphas}
+    marginal = {sim._alpha_key(a): dv.alpha_mi_marginal_bound(joint.p_rows, a)
+                for a in alphas}
     kl_cap = dv.phi_mi_marginal_bound(joint.p_rows, dv.kl_generator())
     equality = {k: bool(abs(i_alpha[k] - marginal[k]) <= 1e-9) for k in i_alpha}
     return {

@@ -222,35 +222,36 @@ def alpha_mutual_information(joint: DiscreteJoint, alpha: float) -> float:
     return max(val, 0.0)
 
 
+def _two_point_alpha(k: int, m: int, alpha: float) -> float:
+    """E|L - 1|^alpha for L = m/k with probability k/m, else 0 (1 <= k <= m):
+    I_alpha when T is, given the data, uniform on k of m equally likely cells."""
+    return k / m * (m / k - 1.0) ** alpha + (m - k) / m
+
+
 def alpha_mi_marginal_bound(p_t, alpha: float) -> float:
     """Largest possible I_alpha given the T-marginal p_t.
 
-    Equals 1 + sum_i p_i^2 (|1/p_i - 1|^alpha - 1); attained exactly when T
-    is a deterministic function of the other coordinate.
+    ``phi_mi_marginal_bound`` under phi(x) = |x - 1|^alpha, that is
+    1 + sum_i p_i^2 (|1/p_i - 1|^alpha - 1); attained exactly when T is a
+    deterministic function of the other coordinate.
     """
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
-    p = _as_prob_vector(p_t)
-    pos = p[p > 0]
-    val = 1.0 + float(np.sum(pos ** 2 * (np.abs(1.0 / pos - 1.0) ** alpha - 1.0)))
-    return max(val, 0.0)
+    return phi_mi_marginal_bound(p_t, abs_power_generator(alpha))
 
 
 def alpha_mi_cardinality_bound(n: int, alpha: float) -> float:
     """Worst-case I_alpha over all T-marginals on n symbols, for alpha in [1, 2].
 
-    ((n-1)/n) * ((n-1)^(alpha-1) + 1); the uniform marginal attains it.
-    Outside alpha in [1, 2] the uniform marginal is no longer extremal, so
-    the formula is refused rather than silently wrong.
+    ((n-1)/n) * ((n-1)^(alpha-1) + 1), from a uniform T that is a function of
+    the data (L = n with probability 1/n, else 0), which attains it.  Outside
+    alpha in [1, 2] the uniform marginal is no longer extremal, so the formula
+    is refused rather than silently wrong.
     """
     if not (1.0 <= alpha <= 2.0):
         raise ValueError("cardinality bound requires 1 <= alpha <= 2")
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return 0.0
-    return (n - 1) / n * ((n - 1) ** (alpha - 1.0) + 1.0)
+    return _two_point_alpha(1, n, alpha)
 
 
 def phi_mi_marginal_bound(p_t, gen: PhiGenerator) -> float:

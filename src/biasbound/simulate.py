@@ -18,14 +18,15 @@ probe uniforms ever pass through the inverse CDF, which is closed-form for
 every built-in model (the heavy-tail one through the Wright omega function).
 
 Each model states its own facts (mean, CGF envelope, moment cap, norming
-constant a_n) and each rule its own dependence on the data: the exact I and
-I_alpha where a closed form exists (argmax, argmin, fixed, top-k).
-``bounds_for`` turns those facts into the named bounds that ``simulate``
-reports and ``sweep`` tabulates.  Only a rule without a closed form
-(softmax) has its dependence estimated, from its conditional distribution
-q = P(T | data) in the same pass as the selection.  Every model is i.i.d.
-and softmax treats all indices alike, so its marginal P(T = i) is exactly
-1/n, known before the first trial, and both measures are trial averages:
+constant a_n) and each rule its own law of L = dP_{T,X} / d(P_T x P_X)
+where that has a closed form (argmax, argmin, fixed, top-k): given the data,
+T is uniform on k of m equally likely cells, so L = m/k with probability
+k/m and 0 otherwise.  ``run_experiment`` alone turns (k, m) into I and
+I_alpha, and ``bounds_for`` turns the facts into the named bounds that
+``simulate`` reports and ``sweep`` tabulates.  Only softmax has its
+dependence estimated, from q = P(T | data) in the same pass as the
+selection.  Every model is i.i.d. and softmax treats all indices alike, so
+P(T = i) = 1/n exactly and both measures are trial averages:
 I = ln n + E[sum_i q_i ln q_i] and I_alpha = E[sum_i (1/n) |n q_i - 1|^alpha].
 """
 
@@ -44,7 +45,7 @@ from scipy import integrate, special
 from .bounds import (conjugate_exponent, max_inequality_cgf_bound,
                      max_inequality_pnorm_bound, pnorm_bound, pnorm_uniform_bound)
 from .cgf import CgfEnvelope, SubGamma, SubGaussian
-from .divergence import DiscreteJoint, alpha_mi_marginal_bound, mutual_information
+from .divergence import DiscreteJoint, _two_point_alpha, mutual_information
 
 __all__ = [
     "GaussianIID",
@@ -247,22 +248,18 @@ class HeavyTailIID:
 #
 # Rules act row-wise on a (rows, n) tile v of values: select(v, r, q) returns
 # one index per row.  Randomized rules (deterministic = False) get r, one
-# extra uniform per row.  dependence(n, alphas) checks the rule against n and
-# gives its exact (I, {alpha: I_alpha}) on any i.i.d. continuous model, or
-# None when there is no closed form; only then does the rule give
-# conditional_probs(v), the (rows, n) matrix of P(T = i | row), which the
-# engine computes once per tile and passes to select as q.  ``extreme`` rules
-# pick the largest or smallest coordinate, so expected-max baselines apply.
+# extra uniform per row.  law(n) checks the rule against n and gives the
+# (k, m) for which, on any i.i.d. continuous model, T is uniform on k of m
+# equally likely cells given the data, or None when there is no closed form;
+# only then does the rule give conditional_probs(v), the (rows, n) matrix of
+# P(T = i | row), which the engine computes once per tile and passes to select
+# as q.  ``extreme`` rules pick the largest or smallest coordinate, so
+# expected-max baselines apply.
 
 def _alpha_key(alpha: float) -> str:
-    return f"{float(alpha):g}"
-
-
-def _deterministic_uniform(n: int, alphas):
-    """I and I_alpha of a deterministic T whose marginal is uniform on n cells."""
-    uniform = np.full(n, 1.0 / n)
-    return math.log(n), {_alpha_key(a): alpha_mi_marginal_bound(uniform, a)
-                         for a in alphas}
+    """The label of I_alpha: ``:g`` where that reads back as alpha, else repr."""
+    short = f"{float(alpha):g}"
+    return short if float(short) == float(alpha) else repr(float(alpha))
 
 
 @dataclass(frozen=True)
@@ -272,8 +269,8 @@ class ArgMax:
     extreme = True
     label = "argmax"
 
-    def dependence(self, n, alphas):
-        return _deterministic_uniform(n, alphas)
+    def law(self, n):
+        return 1, n
 
     def select(self, v, r=None, q=None):
         return np.argmax(v, axis=-1)  # ties resolve to the lowest index
@@ -286,8 +283,8 @@ class ArgMin:
     extreme = True
     label = "argmin"
 
-    def dependence(self, n, alphas):
-        return _deterministic_uniform(n, alphas)
+    def law(self, n):
+        return 1, n
 
     def select(self, v, r=None, q=None):
         return np.argmin(v, axis=-1)
@@ -308,10 +305,10 @@ class FixedIndex:
     def label(self) -> str:
         return f"fixed({self.index})"
 
-    def dependence(self, n, alphas):
+    def law(self, n):
         if self.index >= n:
             raise ValueError("fixed index out of range")
-        return 0.0, {_alpha_key(a): 0.0 for a in alphas}
+        return 1, 1
 
     def select(self, v, r=None, q=None):
         return np.full(np.shape(v)[:-1], self.index)
@@ -334,13 +331,10 @@ class TopKUniform:
     def label(self) -> str:
         return f"topk({self.k})"
 
-    def dependence(self, n, alphas):
-        # T is uniform on n cells and, given the data, uniform on k of them
+    def law(self, n):
         if self.k > n:
             raise ValueError("top-k rule needs k <= n")
-        k = self.k
-        return math.log(n / k), {_alpha_key(a): k / n * (n / k - 1.0) ** a + (n - k) / n
-                                 for a in alphas}
+        return self.k, n
 
     def _top(self, v) -> np.ndarray:
         """The first k of a stable argsort of -v along the last axis.
@@ -385,7 +379,7 @@ class SoftMax:
     def label(self) -> str:
         return f"softmax({self.temperature:g})"
 
-    def dependence(self, n, alphas):
+    def law(self, n):
         return None  # estimated from conditional_probs
 
     def conditional_probs(self, v) -> np.ndarray:
@@ -409,7 +403,7 @@ class ExperimentResult:
 
     ``i`` and ``i_alpha`` are the dependence of T on the data, I(T; data)
     and I_alpha keyed by alpha.  ``estimator`` says where they come from:
-    ``"analytic"`` is the rule's exact closed form (argmax, argmin, fixed,
+    ``"analytic"`` is exact, from the rule's law (argmax, argmin, fixed,
     top-k); ``"rule_conditional"`` averages a function of the rule's known
     conditional distribution q = P(T | data) over the trials (softmax).  The
     marginal of T is exactly uniform there (i.i.d. coordinates, a rule that
@@ -467,10 +461,10 @@ def run_experiment(model, rule, trials: int, seed: int = 0, *,
     alphas = list(alphas)
     if any(a < 1 for a in alphas):
         raise ValueError("alpha must be >= 1")
-    exact = rule.dependence(n, alphas)
+    law = rule.law(n)
 
     t_idx, u_sel, u_probe, sums = _main_pass(model, rule, trials, seed, probe, workers,
-                                             None if exact is not None else alphas)
+                                             None if law is not None else alphas)
 
     phi_sel = np.asarray(model.inverse_cdf(u_sel), dtype=float)
     deviations = phi_sel - model.mean
@@ -488,8 +482,11 @@ def run_experiment(model, rule, trials: int, seed: int = 0, *,
     np.add.at(counts, (t_idx, bin_idx), 1)
     i_plugin = mutual_information(DiscreteJoint(counts / trials))
 
-    if exact is not None:
-        (i, i_alpha), estimator = exact, "analytic"
+    if law is not None:  # L = m/k with probability k/m, else 0
+        k, m = law
+        i = math.log(m / k)
+        i_alpha = {_alpha_key(a): _two_point_alpha(k, m, a) for a in alphas}
+        estimator = "analytic"
     else:
         i = max(0.0, math.log(n) + float(sums[0]) / trials)
         i_alpha = {_alpha_key(a): float(sums[1 + j]) / (n * trials)

@@ -163,6 +163,15 @@ def test_max_inequality_bounds():
         max_inequality_pnorm_bound(1.0, 2.0, 0)
 
 
+def test_numeric_bounds_past_an_overflowing_envelope():
+    # SubExponential(1, 1e-200) is the sub-Gaussian lam^2 / 2 on [0, 1e200),
+    # but lam^2 overflows on the whole first scan of the numeric search
+    pair = [SubExponential(1.0, 1e-200), SubGaussian(1.0)]
+    assert mgf_bound(pair, [0.5, 0.5], 1.0) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    assert max_inequality_cgf_bound(pair, 10) == pytest.approx(
+        math.sqrt(2.0 * math.log(10)), rel=1e-12)
+
+
 def test_scaling_covariance_of_pnorm():
     rng = np.random.default_rng(9)
     sig = rng.uniform(0.5, 2.0, size=4)

@@ -128,6 +128,31 @@ def test_subgamma_conjugate_continuous_across_the_large_u_switch():
     assert env.conjugate(last) < env.conjugate(after)
 
 
+@pytest.mark.parametrize("c", [1e-150, 1e-160, 1e-200])
+def test_subgamma_conjugate_at_tiny_scale(c):
+    # c * c underflows (to 0 at 1e-200: ZeroDivisionError); at this scale
+    # psi* is the sub-Gaussian x^2 / (2 sigma2) = 0.5 to float precision
+    env = SubGamma(1.0, c)
+    assert env.conjugate(1.0) == 0.5
+    # the numeric reference: psi overflows on its first scan, [1/c * 1e-18, 1/c]
+    assert env.conjugate_numeric(1.0) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_subexponential_at_tiny_b():
+    # sigma^2 / (2 b^2) overflows and b * b underflows to 0: every branch
+    # used to raise ZeroDivisionError
+    env = SubExponential(1.0, 1e-200)
+    assert env.conjugate(1.0) == 0.5
+    assert env.conjugate(1e250) == math.inf
+    assert env.inverse_conjugate(1.0) == math.sqrt(2.0)
+    assert env.inverse_conjugate(1e250) == math.sqrt(2e250)
+    assert subexponential_piecewise_bound(1.0, 1e-200, 1.0) == math.sqrt(2.0)
+    assert subexponential_piecewise_bound(1.0, 1e-200, 1e250) == math.inf
+    # the linear branch, finite although b * b underflows
+    assert SubExponential(1e-100, 1e-170).conjugate(1.0) == pytest.approx(
+        (1.0 - 1e-200 / 2e-170) / 1e-170, rel=1e-15)
+
+
 def test_subexponential_conjugate_piecewise():
     env = SubExponential(1.0, 2.0)
     s2 = 1.0

@@ -210,6 +210,15 @@ def test_bound_subexponential_reports_both_forms(capsys):
         bound_map(got)["subexponential_piecewise"]["value"], rel=1e-12)
 
 
+def test_bound_subexponential_at_tiny_b(capsys):
+    # sigma^2 / (2 b^2) overflows; b * b underflowing to 0 used to raise
+    # ZeroDivisionError, which escaped main as a traceback
+    got = run_json(capsys, ["bound", "--family", "subexponential", "--sigma", "1",
+                            "--b", "1e-200", "--I", "1"])
+    assert bound_map(got)["subexponential"]["value"] == math.sqrt(2.0)
+    assert bound_map(got)["subexponential_piecewise"]["value"] == math.sqrt(2.0)
+
+
 def test_bound_tabulated_from_csv(tmp_path, capsys):
     lams = np.linspace(0.0, 4.0, 81)
     path = tmp_path / "env.csv"
@@ -527,6 +536,19 @@ def test_estimate_independent_joint_not_at_cap(tmp_path, capsys):
     got = run_json(capsys, ["estimate", "--joint", str(path)])
     assert got["dependence"]["I"] == pytest.approx(0.0, abs=1e-12)
     assert got["equality_attained"]["2"] is False
+
+
+def test_estimate_alpha_labels_name_their_alpha(tmp_path, capsys):
+    # 1.5000001 and 1.5 agree to 6 digits, so ":g" labels merged them
+    path = tmp_path / "joint.csv"
+    DiscreteJoint(np.outer([0.6, 0.4], [0.3, 0.7])).to_csv(str(path))
+    got = run_json(capsys, ["estimate", "--joint", str(path),
+                            "--alphas", "1.5000001,1.5"])
+    for block in (got["dependence"]["I_alpha"], got["marginal_bounds"]["I_alpha"],
+                  got["equality_attained"]):
+        assert list(block) == ["1.5000001", "1.5"]
+    caps = got["marginal_bounds"]["I_alpha"]
+    assert caps["1.5000001"] != caps["1.5"]
 
 
 def test_estimate_invalid_joint_exit_2(tmp_path, capsys):

@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biasbound.divergence import (DiscreteJoint, abs_power_generator,
+from biasbound.divergence import (DiscreteJoint, _two_point_alpha, abs_power_generator,
                                   alpha_mi_cardinality_bound,
                                   alpha_mi_marginal_bound,
                                   alpha_mutual_information, custom_generator,
@@ -176,6 +177,21 @@ def test_alpha_mi_cardinality_bound():
         alpha_mi_cardinality_bound(5, 2.5)
     with pytest.raises(ValueError):
         alpha_mi_cardinality_bound(5, 0.9)
+
+
+def test_two_point_alpha_within_5_ulps_of_mpmath():
+    # the argmax law: E|L - 1|^alpha for L = n with probability 1/n, else 0,
+    # against (1/n) (n - 1)^alpha + (n - 1)/n at 40 digits
+    alphas = (1.0, 1.25, 1.5, 5.0 / 3.0, 2.0, 3.0)
+    with mpmath.workdps(40):
+        for n in range(1, 3001):
+            for alpha in alphas:
+                want = float((mpmath.mpf(n - 1) ** mpmath.mpf(alpha) + n - 1) / n)
+                got = _two_point_alpha(1, n, alpha)
+                assert abs(got - want) <= 5 * math.ulp(want), (n, alpha)
+    # the cardinality cap is the argmax law (1, n): exact at n = 1 and 10
+    assert alpha_mi_cardinality_bound(1, 1.3) == 0.0
+    assert alpha_mi_cardinality_bound(10, 2.0) == 9.0
 
 
 def test_phi_marginal_bound_specializes_to_entropy():

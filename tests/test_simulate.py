@@ -302,16 +302,43 @@ def test_closed_form_dependence_matches_exact_joint():
             + [TopKUniform(k) for k in range(1, n + 1)]
         for rule in rules:
             joint = rank_joint(rule, n)
-            i, i_alpha = rule.dependence(n, alphas)
-            assert i == pytest.approx(mutual_information(joint), abs=1e-12), (n, rule)
+            res = run_experiment(GaussianIID(n=n), rule, trials=1, alphas=alphas)
+            assert res.estimator == "analytic"
+            assert res.i == pytest.approx(mutual_information(joint), abs=1e-12), (n, rule)
             for a in alphas:
-                assert i_alpha[f"{a:g}"] == pytest.approx(
+                assert res.i_alpha[f"{a:g}"] == pytest.approx(
                     alpha_mutual_information(joint, a), abs=1e-12), (n, rule, a)
-    assert SoftMax().dependence(5, alphas) is None
+    assert SoftMax().law(5) is None
     with pytest.raises(ValueError):
-        FixedIndex(5).dependence(5, alphas)
+        FixedIndex(5).law(5)
     with pytest.raises(ValueError):
-        TopKUniform(6).dependence(5, alphas)
+        TopKUniform(6).law(5)
+
+
+def test_each_closed_form_rule_states_its_two_point_law():
+    assert ArgMax().law(7) == ArgMin().law(7) == (1, 7)
+    assert TopKUniform(3).law(7) == (3, 7)
+    assert FixedIndex(6).law(7) == (1, 1)
+    assert TopKUniform(7).law(7) == (7, 7)
+
+
+def test_argmax_i_alpha_is_the_two_point_value():
+    # L = 10 with probability 1/10: I_2 = (1/10) 81 + 9/10 = 9 exactly, and
+    # the two-point expression gives it without the marginal cap's rounding
+    res = run_experiment(GaussianIID(n=10), ArgMax(), trials=1, alphas=(2.0,))
+    assert res.i_alpha["2"] == 9.0
+    assert res.i == math.log(10)
+
+
+def test_alpha_labels_name_their_alpha():
+    assert simulate._alpha_key(2.0) == "2"
+    assert simulate._alpha_key(1.5) == "1.5"
+    assert simulate._alpha_key(1.5000001) == "1.5000001"
+    assert simulate._alpha_key(5.0 / 3.0) == "1.6666666666666667"
+    res = run_experiment(GaussianIID(n=4), SoftMax(0.5), trials=20, seed=2,
+                         alphas=(1.5000001, 1.5))
+    assert list(res.i_alpha) == ["1.5000001", "1.5"]
+    assert res.i_alpha["1.5000001"] != res.i_alpha["1.5"]
 
 
 @pytest.mark.parametrize("rule", [ArgMax(), ArgMin(), FixedIndex(2), TopKUniform(3),

@@ -48,6 +48,18 @@ def test_minimize_any_scale(k, capped):
 
 
 
+def test_minimize_widens_a_scan_that_is_inf_everywhere():
+    # quasiconvex and +inf above 1e-40: the first scan, [1e-18, 1], sees only
+    # inf, and the minimiser (1e-50) lies to its left
+    def f(t):
+        return math.inf if t > 1e-40 else t / 1e-50 + 1e-50 / t
+
+    assert math.isclose(minimize(f, 1.0), 2.0, rel_tol=1e-14)
+    # widening stops at the scan floor: an f that is inf everywhere gives inf
+    assert minimize(lambda t: math.inf, 1.0) == math.inf
+    assert minimize(lambda t: math.inf, math.inf) == math.inf
+
+
 def test_minimize_ends_on_a_subnormal_bracket():
     # a minimiser below the smallest normal float: _RTOL * b underflows there,
     # so the stop rule also counts subnormal spacings (3e-313 looped forever)

@@ -84,6 +84,12 @@ CORPUS = [
                                            "--c", "0.5", "--I", "-0", "--format", "csv"]),
     ("bound-gaussian-neg-zero", ["bound", "--family", "gaussian", "--sigma", "1",
                                  "--I", "-0", "--format", "csv"]),
+    # sigma^2 / (2 b^2) overflows: only the Gaussian branch is reached
+    ("bound-subexponential-tiny-b", ["bound", "--family", "subexponential", "--sigma", "1",
+                                     "--b", "1e-200", "--I", "1"]),
+    ("bound-subexponential-tiny-b-huge-info", ["bound", "--family", "subexponential",
+                                               "--sigma", "1", "--b", "1e-200",
+                                               "--I", "1e250", "--format", "csv"]),
     ("bound-subexponential-zero-info", ["bound", "--family", "subexponential", "--sigma",
                                         "1", "--b", "2", "--I", "0"]),
     ("bound-pnorm-ialpha", ["bound", "--family", "pnorm", "--beta", "3", "--sigma", "1,2",
@@ -170,6 +176,8 @@ CORPUS += [
     # a twin pair that must hash the same: 3 chunks on 1 and on 3 workers
     ("simulate-gaussian-softmax-workers1", SOFTMAX_CHUNKS + ["--workers", "1"]),
     ("simulate-gaussian-softmax-workers3", SOFTMAX_CHUNKS + ["--workers", "3"]),
+    # alphas that agree to 6 digits get distinct labels
+    ("simulate-alpha-labels", SIM + ["--rule", "softmax:0.5", "--alphas", "1.5000001,1.5"]),
     ("simulate-topk-k-equals-n", SIM + ["--rule", "topk:6"]),
     ("simulate-err-alpha", SIM + ["--rule", "softmax:0.5", "--alphas", "0.5"]),
     ("simulate-err-rule", ["simulate", "--rule", "bogus"]),
@@ -194,6 +202,8 @@ CORPUS += [
     ("sweep-err-sigma-list", ["sweep", "--model", "gaussian", "--sigma", "3,1"]),
     ("estimate-identity", ["estimate", "--joint", "{tmp}/joint.csv", "--alphas", "1.5,2"]),
     ("estimate-independent", ["estimate", "--joint", "{tmp}/indep.csv"]),
+    ("estimate-alpha-labels", ["estimate", "--joint", "{tmp}/indep.csv",
+                               "--alphas", "1.5000001,1.5"]),
     ("estimate-err-missing", ["estimate"]),
     ("estimate-err-invalid", ["estimate", "--joint", "{tmp}/bad_joint.csv"]),
     ("estimate-err-no-file", ["estimate", "--joint", "{tmp}/missing.csv"]),
