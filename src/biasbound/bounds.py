@@ -14,6 +14,8 @@ calibration; they bound E[max_i Z_i], not the bias of a general rule.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -43,7 +45,7 @@ __all__ = [
 def conjugate_exponent(beta: float) -> float:
     """alpha with 1/alpha + 1/beta = 1; beta = inf gives alpha = 1."""
     beta = float(beta)
-    if beta <= 1:
+    if not beta > 1:
         raise ValueError("beta must be > 1")
     if math.isinf(beta):
         return 1.0
@@ -71,7 +73,7 @@ def weighted_beta_norm(sigmas, p_t=None, beta: float = 2.0) -> float:
     """||sigma_T||_beta = (sum_i p_i sigma_i^beta)^(1/beta); max over the
     support for beta = inf."""
     beta = float(beta)
-    if beta < 1:
+    if not beta >= 1:
         raise ValueError("beta must be >= 1")
     s, p = _sigma_vector(sigmas, p_t)
     if math.isinf(beta):
@@ -92,7 +94,7 @@ def mgf_bound(envelopes: Sequence[CgfEnvelope], p_t, info: float) -> float:
 
 def pnorm_bound(sigmas, p_t, beta: float, i_alpha: float) -> float:
     """Moment-route bound ||sigma_T||_beta * i_alpha^(1/alpha) on |bias|."""
-    if i_alpha < 0:
+    if not i_alpha >= 0:
         raise ValueError("i_alpha must be nonnegative")
     alpha = conjugate_exponent(beta)
     return weighted_beta_norm(sigmas, p_t, beta) * i_alpha ** (1.0 / alpha)
@@ -113,7 +115,7 @@ def pnorm_uniform_bound(sigmas, beta: float, n: int, p_t=None) -> UniformPnormBo
     beta < 2, so that range is refused.
     """
     beta = float(beta)
-    if beta < 2:
+    if not beta >= 2:
         raise ValueError("no uniform bound exists for beta < 2")
     n = int(n)
     if n < 1:
@@ -151,7 +153,7 @@ def max_inequality_pnorm_bound(sigma_max: float, beta: float, n: int) -> float:
     if sigma_max < 0:
         raise ValueError("sigma_max must be nonnegative")
     beta = float(beta)
-    if beta < 1:
+    if not beta >= 1:
         raise ValueError("beta must be >= 1")
     n = int(n)
     if n < 1:
@@ -238,7 +240,8 @@ class BoundReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def to_csv(self) -> str:
-        """Flat single-row CSV: meta columns, empirical, I, one column per bound."""
+        """Flat single-row CSV: meta columns, empirical, I, one column per bound;
+        a cell that holds a comma, such as a model label, is quoted."""
         cols: List[str] = []
         vals: List[str] = []
 
@@ -262,4 +265,6 @@ class BoundReport:
         for entry, ratio in zip(self.bounds, self.ratios()):
             put(f"bound_{entry['name']}", float(entry["value"]))
             put(f"ratio_{entry['name']}", ratio if ratio is None else float(ratio))
-        return ",".join(cols) + "\n" + ",".join(vals) + "\n"
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows([cols, vals])
+        return out.getvalue()

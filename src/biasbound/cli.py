@@ -147,8 +147,6 @@ class RunConfig:
     rule: Optional[str] = _option(_STR, ("simulate",),
                                   help="argmax | argmin | fixed:IDX | topk:K | softmax:TEMP")
     trials: Optional[int] = _option(_INT, _SIM)
-    bins: Optional[int] = _option(_INT, ("simulate",))
-    probe: Optional[int] = _option(_INT, ("simulate",))
     alphas: Optional[List[float]] = _option(_FLOATS, ("simulate", "estimate"))
     workers: Optional[int] = _option(_INT, _SIM)
     n_list: Optional[List[int]] = _option(_INTS, ("sweep",),
@@ -371,15 +369,13 @@ def cmd_simulate(cfg: RunConfig) -> bnd.BoundReport:
             alphas.append(a)
     trials = cfg.trials if cfg.trials is not None else 10000
     res = sim.run_experiment(
-        model, rule, trials, cfg.seed, bins=cfg.bins,
-        probe=cfg.probe if cfg.probe is not None else 0,
-        alphas=alphas, workers=cfg.workers if cfg.workers is not None else 1)
+        model, rule, trials, cfg.seed, alphas=alphas,
+        workers=cfg.workers if cfg.workers is not None else 1)
     report = bnd.BoundReport(
         meta={"command": "simulate", "model": model.label, "rule": rule.label,
               "n": model.n, "trials": res.trials, "seed": res.seed,
-              "bins": res.bins, "probe": res.probe,
               "selected_mean": res.selected_mean,
-              "dependence_estimator": res.estimator, "I_plugin": res.i_plugin},
+              "dependence_estimator": res.estimator},
         empirical={"bias": res.bias, "stderr": res.stderr},
         dependence={"I": res.i, "I_alpha": res.i_alpha})
     if model.cgf_envelope is None:

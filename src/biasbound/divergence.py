@@ -73,7 +73,7 @@ def kl_generator() -> PhiGenerator:
 def abs_power_generator(alpha: float) -> PhiGenerator:
     """phi_alpha(x) = |x - 1|**alpha for alpha >= 1."""
     alpha = float(alpha)
-    if alpha < 1:
+    if not alpha >= 1:
         raise ValueError("alpha must be >= 1")
 
     def fn(x):
@@ -215,7 +215,7 @@ def mutual_information(joint: DiscreteJoint) -> float:
 
 def alpha_mutual_information(joint: DiscreteJoint, alpha: float) -> float:
     """I_alpha(T; probe): the |x-1|^alpha divergence from the product measure."""
-    if alpha < 1:
+    if not alpha >= 1:
         raise ValueError("alpha must be >= 1")
     val = phi_divergence(joint.p, joint.product_of_marginals(),
                          abs_power_generator(alpha))
@@ -225,7 +225,7 @@ def alpha_mutual_information(joint: DiscreteJoint, alpha: float) -> float:
 def _two_point_alpha(k: int, m: int, alpha: float) -> float:
     """E|L - 1|^alpha for L = m/k with probability k/m, else 0 (1 <= k <= m):
     I_alpha when T is, given the data, uniform on k of m equally likely cells."""
-    return k / m * (m / k - 1.0) ** alpha + (m - k) / m
+    return k / m * ((m - k) / k) ** alpha + (m - k) / m
 
 
 def alpha_mi_marginal_bound(p_t, alpha: float) -> float:

@@ -131,7 +131,7 @@ class OrliczFunction:
 def power_orlicz(p: float) -> OrliczFunction:
     """psi(u) = u**p for p >= 1."""
     p = float(p)
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must be >= 1")
 
     def fn(u):
@@ -151,7 +151,7 @@ def power_orlicz(p: float) -> OrliczFunction:
 def scaled_power_orlicz(p: float) -> OrliczFunction:
     """psi(u) = u**p / p for p > 1; its conjugate is v**q / q, 1/p + 1/q = 1."""
     p = float(p)
-    if p <= 1:
+    if not p > 1:
         raise ValueError("p must be > 1")
     q = p / (p - 1.0)
 

@@ -13,9 +13,9 @@ and sums over trials are added in trial order.
 
 Rules that depend only on the ordering of coordinates (argmax, argmin,
 fixed, top-k) are applied to the uniforms directly: a strictly increasing
-inverse CDF cannot change which index is selected, so only the selected and
-probe uniforms ever pass through the inverse CDF, which is closed-form for
-every built-in model (the heavy-tail one through the Wright omega function).
+inverse CDF cannot change which index is selected, so only the selected
+uniform ever passes through the inverse CDF, which is closed-form for every
+built-in model (the heavy-tail one through the Wright omega function).
 
 Each model states its own facts (mean, CGF envelope, moment cap, norming
 constant a_n) and each rule its own law of L = dP_{T,X} / d(P_T x P_X)
@@ -45,7 +45,7 @@ from scipy import integrate, special
 from .bounds import (conjugate_exponent, max_inequality_cgf_bound,
                      max_inequality_pnorm_bound, pnorm_bound, pnorm_uniform_bound)
 from .cgf import CgfEnvelope, SubGamma, SubGaussian
-from .divergence import DiscreteJoint, _two_point_alpha, mutual_information
+from .divergence import _two_point_alpha
 
 __all__ = [
     "GaussianIID",
@@ -409,37 +409,27 @@ class ExperimentResult:
     marginal of T is exactly uniform there (i.i.d. coordinates, a rule that
     treats all indices alike), so I = ln n + mean of sum_i q_i ln q_i and
     I_alpha = mean of sum_i (1/n) |n q_i - 1|^alpha, with no estimated
-    marginal plugged in.  ``i_plugin`` is the plug-in I from the joint of
-    (T, rank-binned probe coordinate); by data processing it lower-bounds
-    the true I.
+    marginal plugged in.
     """
 
-    model_label: str
-    rule_label: str
-    n: int
     trials: int
     seed: int
-    bins: int
-    probe: int
     selected_mean: float
     bias: float
     stderr: float
     t_counts: np.ndarray
-    i_plugin: float
     i: float
     i_alpha: Dict[str, float]
     estimator: str
 
 
 def run_experiment(model, rule, trials: int, seed: int = 0, *,
-                   bins: Optional[int] = None, probe: int = 0,
                    alphas: Sequence[float] = (2.0,),
                    workers: int = 1) -> ExperimentResult:
     """Run a seeded selection experiment and estimate bias and dependence.
 
-    bins defaults to ceil(trials^(1/3)) (at least 2) equal-mass rank bins of
-    the probe coordinate.  Identical (model, rule, trials, seed, bins) give
-    bit-identical results for any ``workers``.
+    Identical (model, rule, trials, seed, alphas) give bit-identical results
+    for any ``workers``.
     """
     trials = int(trials)
     if trials < 1:
@@ -448,23 +438,15 @@ def run_experiment(model, rule, trials: int, seed: int = 0, *,
     if seed < 0 or seed >= 2 ** 64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     n = model.n
-    probe = int(probe)
-    if probe < 0 or probe >= n:
-        raise ValueError("probe index out of range")
-    if bins is None:
-        bins = max(2, math.ceil(trials ** (1.0 / 3.0)))
-    bins = int(bins)
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
     if int(workers) < 1:
         raise ValueError("workers must be >= 1")
     alphas = list(alphas)
-    if any(a < 1 for a in alphas):
+    if not all(a >= 1 for a in alphas):
         raise ValueError("alpha must be >= 1")
     law = rule.law(n)
 
-    t_idx, u_sel, u_probe, sums = _main_pass(model, rule, trials, seed, probe, workers,
-                                             None if law is not None else alphas)
+    t_idx, u_sel, sums = _main_pass(model, rule, trials, seed, workers,
+                                    None if law is not None else alphas)
 
     phi_sel = np.asarray(model.inverse_cdf(u_sel), dtype=float)
     deviations = phi_sel - model.mean
@@ -472,15 +454,6 @@ def run_experiment(model, rule, trials: int, seed: int = 0, *,
     selected_mean = float(np.mean(phi_sel))
     stderr = float(np.std(deviations, ddof=1) / math.sqrt(trials)) if trials > 1 \
         else math.nan
-
-    # plug-in I from the (T, rank-binned probe) joint
-    order = np.argsort(u_probe, kind="stable")
-    ranks = np.empty(trials, dtype=np.int64)
-    ranks[order] = np.arange(trials, dtype=np.int64)
-    bin_idx = ranks * bins // trials
-    counts = np.zeros((n, bins), dtype=np.int64)
-    np.add.at(counts, (t_idx, bin_idx), 1)
-    i_plugin = mutual_information(DiscreteJoint(counts / trials))
 
     if law is not None:  # L = m/k with probability k/m, else 0
         k, m = law
@@ -494,10 +467,9 @@ def run_experiment(model, rule, trials: int, seed: int = 0, *,
         estimator = "rule_conditional"
 
     return ExperimentResult(
-        model_label=model.label, rule_label=rule.label, n=n, trials=trials,
-        seed=seed, bins=bins, probe=probe, selected_mean=selected_mean,
-        bias=bias, stderr=stderr, t_counts=np.bincount(t_idx, minlength=n),
-        i_plugin=i_plugin, i=i, i_alpha=i_alpha, estimator=estimator)
+        trials=trials, seed=seed, selected_mean=selected_mean, bias=bias,
+        stderr=stderr, t_counts=np.bincount(t_idx, minlength=n), i=i,
+        i_alpha=i_alpha, estimator=estimator)
 
 
 def _run_chunks(chunk_fn, trials: int, workers: int):
@@ -537,8 +509,8 @@ def _in_order_sum(acc, rows):
     return np.cumsum(np.concatenate([acc[None], rows]), axis=0)[-1]
 
 
-def _main_pass(model, rule, trials, seed, probe, workers, alphas=None):
-    """Per trial: the selected index, its uniform and the probe uniform.
+def _main_pass(model, rule, trials, seed, workers, alphas=None):
+    """Per trial: the selected index and its uniform.
 
     Given ``alphas`` (a rule without a closed-form dependence), also the
     dependence sums over trials of q_t = P(T | trial t), the rule's
@@ -549,7 +521,6 @@ def _main_pass(model, rule, trials, seed, probe, workers, alphas=None):
     n = model.n
     t_idx = np.empty(trials, dtype=np.int64)
     u_sel = np.empty(trials, dtype=float)
-    u_probe = np.empty(trials, dtype=float)
     conditional = alphas is not None
 
     def chunk(lo: int, hi: int):
@@ -561,7 +532,6 @@ def _main_pass(model, rule, trials, seed, probe, workers, alphas=None):
             rows = slice(start, start + len(u))
             t_idx[rows] = k
             u_sel[rows] = u[np.arange(len(u)), k]
-            u_probe[rows] = u[:, probe]
             if conditional:
                 dev = np.abs(n * q - 1.0)  # |L - 1|, L = q_ti / (1/n)
                 sums = np.empty((len(u), 1 + len(alphas)))
@@ -572,7 +542,7 @@ def _main_pass(model, rule, trials, seed, probe, workers, alphas=None):
         return acc
 
     chunks = _run_chunks(chunk, trials, workers)  # summed in chunk order
-    return t_idx, u_sel, u_probe, sum(chunks) if conditional else None
+    return t_idx, u_sel, sum(chunks) if conditional else None
 
 
 # ---------------------------------------------------------------------------

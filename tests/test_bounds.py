@@ -12,8 +12,12 @@ from biasbound.bounds import (BoundReport, conjugate_exponent, gaussian_bound,
                               weighted_beta_norm)
 from biasbound.cgf import (SubExponential, SubGamma, SubGaussian,
                            subexponential_piecewise_bound)
-from biasbound.divergence import alpha_mi_cardinality_bound
-from biasbound.orlicz import power_orlicz
+from biasbound.divergence import (DiscreteJoint, abs_power_generator,
+                                  alpha_mi_cardinality_bound,
+                                  alpha_mi_marginal_bound,
+                                  alpha_mutual_information)
+from biasbound.orlicz import power_orlicz, scaled_power_orlicz
+from biasbound.simulate import ArgMax, GaussianIID, run_experiment
 
 
 def test_conjugate_exponent():
@@ -232,3 +236,31 @@ def test_nan_sigma_or_pt_raises():
         pnorm_bound(math.nan, None, 2.0, 1.0)
     with pytest.raises(ValueError, match="p_t must be a probability vector"):
         pnorm_bound([1.0], [math.nan], 2.0, 1.0)
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: conjugate_exponent(NAN), "beta must be > 1"),
+    (lambda: weighted_beta_norm(1.0, None, NAN), "beta must be >= 1"),
+    (lambda: pnorm_bound(1.0, None, NAN, 1.0), "beta must be > 1"),
+    (lambda: pnorm_bound(1.0, None, 2.0, NAN), "i_alpha must be nonnegative"),
+    (lambda: pnorm_uniform_bound(1.0, NAN, 5), "no uniform bound exists for beta < 2"),
+    (lambda: max_inequality_pnorm_bound(1.0, NAN, 5), "beta must be >= 1"),
+    (lambda: abs_power_generator(NAN), "alpha must be >= 1"),
+    (lambda: alpha_mutual_information(DiscreteJoint([[0.5, 0.0], [0.0, 0.5]]), NAN),
+     "alpha must be >= 1"),
+    (lambda: alpha_mi_marginal_bound([0.5, 0.5], NAN), "alpha must be >= 1"),
+    (lambda: run_experiment(GaussianIID(n=3), ArgMax(), 10, alphas=(NAN,)),
+     "alpha must be >= 1"),
+    (lambda: power_orlicz(NAN), "p must be >= 1"),
+    (lambda: scaled_power_orlicz(NAN), "p must be > 1"),
+], ids=["conjugate_exponent", "weighted_beta_norm", "pnorm_bound-beta",
+        "pnorm_bound-i_alpha", "pnorm_uniform_bound", "max_inequality_pnorm_bound",
+        "abs_power_generator", "alpha_mutual_information", "alpha_mi_marginal_bound",
+        "run_experiment", "power_orlicz", "scaled_power_orlicz"])
+def test_nan_order_parameter_raises(call, message):
+    # a NaN order fails the check instead of returning a finite non-bound
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -9,6 +9,7 @@ import pytest
 from biasbound import (DiscreteJoint, ExponentialIID, FixedIndex, GaussianIID,
                        ArgMax, HeavyTailIID, SoftMax, TopKUniform, gaussian_bound,
                        run_experiment, save_probability_vector)
+from biasbound._csv import Table
 from biasbound.cli import (ConfigError, RunConfig, _build_model, _build_parser,
                            _parse_rule, main)
 
@@ -121,7 +122,6 @@ PARSER_SURFACE = {
               "envelope": (["--envelope"], None)},
     "simulate": {**_COMMON, **_MODEL_FLAGS, "n": (["--n"], None),
                  "rule": (["--rule"], None), "trials": (["--trials"], None),
-                 "bins": (["--bins"], None), "probe": (["--probe"], None),
                  "alphas": (["--alphas"], None), "workers": (["--workers"], None)},
     "sweep": {**_COMMON, **_MODEL_FLAGS, "n_list": (["--n-list"], None),
               "trials": (["--trials"], None), "workers": (["--workers"], None)},
@@ -293,6 +293,14 @@ def test_bad_config_file_exit_2(tmp_path, capsys):
     assert "line 2: unknown key 'bogus'" in err
 
 
+def test_removed_option_in_config_exit_2(tmp_path, capsys):
+    p = tmp_path / "bins.cfg"
+    p.write_text("bins = 7\n")
+    code, out, err = run_cli(capsys, ["simulate", "--config", str(p)])
+    assert (code, out) == (2, "")
+    assert "line 1: unknown key 'bins'" in err
+
+
 def test_nan_option_exit_2(tmp_path, capsys):
     for argv in (["bound", "--family", "gaussian", "--sigma", "1", "--I", "nan"],
                  ["bound", "--family", "gaussian", "--sigma", "nan", "--I", "1"],
@@ -388,6 +396,21 @@ def test_bound_csv_format(capsys):
     assert float(lines[1].split(",")[i]) == pytest.approx(math.sqrt(2.0))
 
 
+@pytest.mark.parametrize("model", ["gaussian", "exponential", "heavytail"])
+def test_simulate_csv_parses_and_keeps_the_label(tmp_path, capsys, model):
+    # model labels such as gaussian(mu=0,sigma=1) hold commas: those cells are quoted
+    target = tmp_path / "report.csv"
+    code, _, err = run_cli(capsys, ["simulate", "--model", model, "--n", "4",
+                                    "--trials", "50", "--format", "csv",
+                                    "--out", str(target)])
+    assert code == 0, err
+    table = Table(target)
+    assert len(table.rows) == 1
+    row = dict(zip(table.header, table.rows[0]))
+    assert row["model"] == _build_model(RunConfig(model=model, n=4)).label
+    assert row["rule"] == "argmax"
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, ["bound", "--family", "gaussian", "--sigma", "1",
@@ -430,6 +453,15 @@ def test_simulate_json_matches_library(capsys):
     assert bound_map(got)["mgf_gaussian"]["value"] >= got["empirical"]["bias"]
 
 
+def test_simulate_meta_keys_frozen(capsys):
+    base = ["command", "model", "rule", "n", "trials", "seed", "selected_mean",
+            "dependence_estimator"]
+    for model, extra in (("gaussian", []), ("heavytail", ["beta_norm_uncentered"])):
+        got = run_json(capsys, ["simulate", "--model", model, "--n", "4",
+                                "--trials", "50"])
+        assert list(got["meta"]) == base + extra, model
+
+
 def test_simulate_repeat_is_byte_identical(capsys):
     argv = ["simulate", "--model", "heavytail", "--n", "8", "--rule", "softmax:0.5",
             "--trials", "1500", "--seed", "4"]
@@ -459,7 +491,6 @@ def test_simulate_dependence_estimator_per_rule(capsys):
     assert got["meta"]["dependence_estimator"] == "analytic"
     assert got["dependence"]["I"] == math.log(100.0)
     assert got["dependence"]["I_alpha"]["2"] == pytest.approx(99.0, rel=1e-15)
-    assert got["meta"]["I_plugin"] < got["dependence"]["I"]
     got = run_json(capsys, ["simulate", "--n", "5", "--rule", "softmax:0.5",
                             "--trials", "200", "--seed", "1"])
     assert got["meta"]["dependence_estimator"] == "rule_conditional"

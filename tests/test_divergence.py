@@ -180,15 +180,18 @@ def test_alpha_mi_cardinality_bound():
 
 
 def test_two_point_alpha_within_5_ulps_of_mpmath():
-    # the argmax law: E|L - 1|^alpha for L = n with probability 1/n, else 0,
-    # against (1/n) (n - 1)^alpha + (n - 1)/n at 40 digits
+    # E|L - 1|^alpha for L = m/k with probability k/m, else 0, against
+    # (k/m) ((m - k)/k)^alpha + (m - k)/m at 40 digits; k = 1 is the argmax
+    # law, k near m is where m/k - 1 would cancel
     alphas = (1.0, 1.25, 1.5, 5.0 / 3.0, 2.0, 3.0)
     with mpmath.workdps(40):
-        for n in range(1, 3001):
-            for alpha in alphas:
-                want = float((mpmath.mpf(n - 1) ** mpmath.mpf(alpha) + n - 1) / n)
-                got = _two_point_alpha(1, n, alpha)
-                assert abs(got - want) <= 5 * math.ulp(want), (n, alpha)
+        for m in range(1, 3001):
+            for k in {1, m // 2, m - 2, m - 1} - {0, -1}:
+                mk, km = mpmath.mpf(m - k), mpmath.mpf(k) / m
+                for alpha in alphas:
+                    want = float(km * (mk / k) ** mpmath.mpf(alpha) + mk / m)
+                    got = _two_point_alpha(k, m, alpha)
+                    assert abs(got - want) <= 5 * math.ulp(want), (k, m, alpha)
     # the cardinality cap is the argmax law (1, n): exact at n = 1 and 10
     assert alpha_mi_cardinality_bound(1, 1.3) == 0.0
     assert alpha_mi_cardinality_bound(10, 2.0) == 9.0

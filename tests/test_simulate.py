@@ -206,7 +206,6 @@ def test_run_experiment_determinism_across_workers():
     assert a.bias == b.bias
     assert a.stderr == b.stderr
     assert a.selected_mean == b.selected_mean
-    assert a.i_plugin == b.i_plugin
     assert a.i == b.i
     assert np.array_equal(a.t_counts, b.t_counts)
 
@@ -359,8 +358,6 @@ def test_only_softmax_estimates_its_conditional(monkeypatch, rule):
 def test_softmax_dependence_estimates():
     res = run_experiment(GaussianIID(n=5), SoftMax(1.0), trials=5000, seed=31,
                          alphas=(2.0,))
-    # randomized rule: conditional estimate well above the probe lower bound
-    assert res.i > res.i_plugin
     assert res.estimator == "rule_conditional"
     assert res.bias > 0
     # temperature -> 0 approaches argmax behavior
@@ -409,30 +406,10 @@ def test_softmax_two_coordinates_against_quadrature():
         assert abs(res.i_alpha[f"{a:g}"] - want) <= tol, a
 
 
-def test_probe_plugin_refinement_is_monotone():
-    # halving bins coarsens the rank partition exactly, so plug-in MI drops
-    model = GaussianIID(n=6)
-    prev = None
-    for bins in (16, 8, 4, 2):
-        res = run_experiment(model, SoftMax(0.5), trials=4000, seed=77, bins=bins)
-        if prev is not None:
-            assert res.i_plugin <= prev + 1e-12
-        prev = res.i_plugin
-
-
-def test_default_bins_rule():
-    res = run_experiment(GaussianIID(n=3), ArgMax(), trials=1000, seed=1)
-    assert res.bins == max(2, math.ceil(1000 ** (1 / 3)))
-
-
 def test_run_experiment_errors():
     model = GaussianIID(n=4)
     with pytest.raises(ValueError):
         run_experiment(model, ArgMax(), trials=0, seed=1)
-    with pytest.raises(ValueError):
-        run_experiment(model, ArgMax(), trials=10, seed=1, bins=1)
-    with pytest.raises(ValueError):
-        run_experiment(model, ArgMax(), trials=10, seed=1, probe=4)
     with pytest.raises(ValueError):
         run_experiment(model, FixedIndex(9), trials=10, seed=1)
     with pytest.raises(ValueError):
@@ -567,9 +544,9 @@ def reference_rule(rule, v, rng):
     return min(k, len(q) - 1), q
 
 
-def reference_main_pass(model, rule, trials, seed, probe, workers, alphas=None):
+def reference_main_pass(model, rule, trials, seed, workers, alphas=None):
     n = model.n
-    t_idx, u_sel, u_probe = np.empty(trials, np.int64), np.empty(trials), np.empty(trials)
+    t_idx, u_sel = np.empty(trials, np.int64), np.empty(trials)
     width = 1 + len(alphas) if alphas is not None else 0
     totals = np.zeros(width)
     for lo in range(0, trials, 1024):  # per-chunk sums, added in chunk order
@@ -580,13 +557,13 @@ def reference_main_pass(model, rule, trials, seed, probe, workers, alphas=None):
             v = model.inverse_cdf(u) if rule.needs_values else u
             t_idx[t], q = reference_rule(rule, v, rng)
             assert (alphas is not None) == (q is not None)
-            u_sel[t], u_probe[t] = u[t_idx[t]], u[probe]
+            u_sel[t] = u[t_idx[t]]
             if q is not None:  # against the exact uniform marginal 1/n
                 acc[0] += float(np.sum(special.xlogy(q, q)))
                 for j, a in enumerate(alphas):
                     acc[1 + j] += float(np.sum(np.abs(n * q - 1.0) ** a))
         totals += acc
-    return t_idx, u_sel, u_probe, totals if alphas is not None else None
+    return t_idx, u_sel, totals if alphas is not None else None
 
 
 def reference_experiment(monkeypatch, *args, **kwargs):
@@ -619,7 +596,7 @@ def test_tile_engine_matches_per_trial_reference(monkeypatch, model, rule, n, tr
                                                  seed, workers):
     m = dataclasses.replace(model, n=n)
     args = (m, rule, trials, seed)
-    kwargs = dict(probe=n - 1, alphas=(1.5, 2.0), workers=workers)
+    kwargs = dict(alphas=(1.5, 2.0), workers=workers)
     assert_bit_equal(run_experiment(*args, **kwargs),
                      reference_experiment(monkeypatch, *args, **kwargs))
 
@@ -651,9 +628,9 @@ def test_trial_stream_is_keyed_philox_and_any_subset_agrees():
                         assert r is None
     # a run over fewer trials repeats the first trials of a longer one
     model, rule = HeavyTailIID(n=30), SoftMax(0.5)
-    short = simulate._main_pass(model, rule, 700, 9, 0, 1, (2.0,))
-    long = simulate._main_pass(model, rule, 2100, 9, 0, 3, (2.0,))
-    for a, b in zip(short[:3], long[:3]):
+    short = simulate._main_pass(model, rule, 700, 9, 1, (2.0,))
+    long = simulate._main_pass(model, rule, 2100, 9, 3, (2.0,))
+    for a, b in zip(short[:2], long[:2]):
         assert np.array_equal(a, b[:700])
     # every 64-bit seed is its own key: 2**64 - 1 is not seed 0
     assert run_experiment(model, rule, 50, 2 ** 64 - 1).bias != \

@@ -48,6 +48,7 @@ FILES = {
                      "trials = 300\nseed = 7\nalphas = 1.25\n"),
     "sweep.cfg": "model = exponential\nrate = 0.5\nn_list = 5,12\ntrials = 300\n",
     "bad.cfg": "family = gaussian\nbogus = 1\n",
+    "bins.cfg": "bins = 7\n",
     "nan_joint.csv": ",b0,b1\nt0,0.5,nan\nt1,0.0,0.5\n",
     "nan_pt.csv": "p\n0.5\nnan\n0.5\n",
     "nan_env.csv": "lambda,psi\n0.0,0.0\n0.5,nan\n1.0,0.5\n",
@@ -155,8 +156,7 @@ CORPUS += [
     ("simulate-gaussian-params-csv", SIM + ["--model", "gaussian", "--mu", "1.5",
                                             "--sigma", "2", "--format", "csv"]),
     ("simulate-exponential-rate", SIM + ["--model", "exponential", "--rate", "2.5",
-                                         "--alphas", "1.5,3", "--bins", "7",
-                                         "--probe", "2"]),
+                                         "--alphas", "1.5,3"]),
     ("simulate-heavytail-beta2", SIM + ["--model", "heavytail", "--beta", "2",
                                         "--c", "1.5", "--x0", "2"]),
     ("simulate-heavytail-beta2.5", SIM + ["--model", "heavytail", "--beta", "2.5",
@@ -184,7 +184,7 @@ CORPUS += [
     ("simulate-err-fixed-range", ["simulate", "--rule", "fixed:99", "--n", "4"]),
     ("simulate-err-topk-zero", ["simulate", "--rule", "topk:0"]),
     ("simulate-err-model-param", ["simulate", "--model", "heavytail", "--beta", "0.9"]),
-    ("simulate-err-probe", SIM + ["--probe", "6"]),
+    ("simulate-err-config-bins", ["simulate", "--config", "{tmp}/bins.cfg"]),
     ("simulate-err-sigma-list", ["simulate", "--model", "gaussian", "--sigma", "1,50"]),
     ("sweep-gaussian", SWEEP + ["--model", "gaussian", "--n-list", "20,50"]),
     ("sweep-exponential-json", SWEEP + ["--model", "exponential", "--rate", "2",
