@@ -150,7 +150,7 @@ def max_inequality_cgf_bound(envelopes: Sequence[CgfEnvelope], n: int) -> float:
 
 def max_inequality_pnorm_bound(sigma_max: float, beta: float, n: int) -> float:
     """Moment baseline n^(1/beta) * sigma_max for E[max |Z_i|]."""
-    if sigma_max < 0:
+    if not sigma_max >= 0:
         raise ValueError("sigma_max must be nonnegative")
     beta = float(beta)
     if not beta >= 1:
@@ -164,7 +164,7 @@ def max_inequality_pnorm_bound(sigma_max: float, beta: float, n: int) -> float:
 
 def max_inequality_orlicz_bound(sigma: float, psi: OrliczFunction, n: int) -> float:
     """Orlicz baseline sigma * psi^{-1}(n) for E[max |Z_i|] under a psi-norm cap."""
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be nonnegative")
     n = int(n)
     if n < 1:

@@ -17,7 +17,7 @@ from biasbound.divergence import (DiscreteJoint, abs_power_generator,
                                   alpha_mi_marginal_bound,
                                   alpha_mutual_information)
 from biasbound.orlicz import power_orlicz, scaled_power_orlicz
-from biasbound.simulate import ArgMax, GaussianIID, run_experiment
+from biasbound.simulate import ArgMax, GaussianIID, frechet_mean, run_experiment
 
 
 def test_conjugate_exponent():
@@ -256,11 +256,16 @@ NAN = math.nan
      "alpha must be >= 1"),
     (lambda: power_orlicz(NAN), "p must be >= 1"),
     (lambda: scaled_power_orlicz(NAN), "p must be > 1"),
+    (lambda: max_inequality_pnorm_bound(NAN, 2.0, 5), "sigma_max must be nonnegative"),
+    (lambda: max_inequality_orlicz_bound(NAN, power_orlicz(2.0), 5),
+     "sigma must be nonnegative"),
+    (lambda: frechet_mean(NAN), "beta must be > 1"),
 ], ids=["conjugate_exponent", "weighted_beta_norm", "pnorm_bound-beta",
         "pnorm_bound-i_alpha", "pnorm_uniform_bound", "max_inequality_pnorm_bound",
         "abs_power_generator", "alpha_mutual_information", "alpha_mi_marginal_bound",
-        "run_experiment", "power_orlicz", "scaled_power_orlicz"])
+        "run_experiment", "power_orlicz", "scaled_power_orlicz",
+        "max_inequality_pnorm_bound-sigma", "max_inequality_orlicz_bound", "frechet_mean"])
 def test_nan_order_parameter_raises(call, message):
-    # a NaN order fails the check instead of returning a finite non-bound
+    # a NaN order or scale fails the check instead of returning nan
     with pytest.raises(ValueError, match=message):
         call()

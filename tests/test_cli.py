@@ -1,11 +1,15 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import biasbound
 from biasbound import (DiscreteJoint, ExponentialIID, FixedIndex, GaussianIID,
                        ArgMax, HeavyTailIID, SoftMax, TopKUniform, gaussian_bound,
                        run_experiment, save_probability_vector)
@@ -650,3 +654,28 @@ def test_norms_bad_inputs_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["norms", "--data", str(path), "--psi", "power:2"])
     assert code == 2
     assert "line 1: expected columns value or value,weight" in err
+
+
+# ---------------------------------------------------------------- import cost
+
+_HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
+
+
+def test_runs_load_no_heavy_scipy_subpackage(tmp_path):
+    # scipy.integrate alone pulls in optimize, linalg and sparse, a third of a
+    # cold start; the package needs scipy.special only
+    script = f"""
+import sys
+import biasbound, biasbound.cli
+for argv in (["simulate", "--model", "heavytail", "--n", "20", "--trials", "200"],
+             ["sweep", "--model", "heavytail", "--n-list", "5,10", "--trials", "100"]):
+    assert biasbound.cli.main(argv + ["--out", sys.argv[1]]) == 0
+print(sorted(m for m in sys.modules if ".".join(m.split(".")[:2]) in {_HEAVY_SCIPY!r}))
+"""
+    src = os.path.dirname(os.path.dirname(biasbound.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "report")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

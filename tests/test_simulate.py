@@ -158,6 +158,37 @@ def test_heavy_tail_beta_norm_closed_form():
         heavy_tail_beta_norm(model, 3.5)
 
 
+def heavy_norm_mp(beta, c, x0, s):
+    """(E X^s)^(1/s) at 40 digits, E X^s = x0^s + s K0 tail with
+    K0 = x0^beta L^c, L = ln x0 and tail = integral over y > L of
+    e^((s - beta) y) y^(-c) dy = a^(c-1) Gamma(1 - c, a L), a = beta - s
+    (L^(1-c) / (c - 1) at a = 0)."""
+    with mpmath.workdps(40):
+        beta, c, x0, s = map(mpmath.mpf, (beta, c, x0, s))
+        L, a = mpmath.log(x0), beta - s
+        tail = (L ** (1 - c) / (c - 1) if a == 0
+                else a ** (c - 1) * mpmath.gammainc(1 - c, a * L))
+        return (x0 ** s + s * x0 ** beta * L ** c * tail) ** (1 / s)
+
+
+def test_heavy_tail_beta_norm_mpmath_oracle():
+    # includes s one ulp below beta, where e^(-(beta - s) y) decays only past
+    # y = 1e15, and (2, 5, 82.5), whose tail integral for the mean, 3.6e-6, is
+    # small enough that an adaptive quadrature's default absolute tolerance,
+    # not its relative one, decides when it stops; at x0 = 1e200,
+    # x0^beta = 1e600 is past the largest double
+    cases = [(2.0, 5.0, 82.5, 1.0), (3.0, 2.0, 1e200, 1.0), (3.0, 2.0, 1e200, 3.0)]
+    for beta, c in itertools.product([1.05, 2.0, 3.25, 10.0], [1.01, 2.0, 5.0]):
+        e = math.exp(1.0 / beta)
+        for x0 in (e + 0.01, 2.9, 82.5, 50.0 * e):
+            for s in (0.5, 1.0, beta / 2, math.nextafter(beta, 0.0), beta):
+                cases.append((beta, c, x0, s))
+    for beta, c, x0, s in cases:
+        got = heavy_tail_beta_norm(HeavyTailIID(beta=beta, c=c, x0=x0), s)
+        want = heavy_norm_mp(beta, c, x0, s)
+        assert abs(got - want) <= 4e-15 * want, (beta, c, x0, s)
+
+
 def test_extreme_norming_constant():
     model = HeavyTailIID(beta=3.0, c=2.0, x0=math.e, n=2)
 
@@ -467,19 +498,15 @@ def test_sweep_rows_and_csv():
     assert float(first[1]) == rows[0].empirical_bias  # repr round-trips
 
 
-def test_sweep_integrates_heavy_tail_norms_once(monkeypatch):
-    # mean and moment cap do not depend on n: 3 n values, 2 integrals
-    calls = []
-    quad = integrate.quad
-    monkeypatch.setattr(simulate.integrate, "quad",
-                        lambda *a, **kw: calls.append(1) or quad(*a, **kw))
+def test_sweep_integrates_heavy_tail_norms_once():
+    # mean and moment cap do not depend on n: 3 n values, 2 evaluations
     model = HeavyTailIID(beta=3.25, c=2.0, x0=2.9, n=10)
     simulate._beta_norm.cache_clear()
     rows = tightness_sweep(model, [5, 10, 20], trials=200, seed=3)
-    assert len(calls) == 2
-    fresh = dataclasses.replace(model, n=20)  # own cached_property, shared integral
+    assert simulate._beta_norm.cache_info().misses == 2
+    fresh = dataclasses.replace(model, n=20)  # own cached_property, shared evaluation
     assert (fresh.mean, fresh.moment_cap) == (model.mean, model.moment_cap)
-    assert len(calls) == 2 and len(rows) == 3
+    assert simulate._beta_norm.cache_info().misses == 2 and len(rows) == 3
 
 
 def test_sweep_gaussian_has_mgf_column():

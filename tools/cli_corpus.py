@@ -163,6 +163,10 @@ CORPUS += [
                                           "--rule", "topk:2", "--format", "csv"]),
     ("simulate-heavytail-beta1.5", SIM + ["--model", "heavytail", "--beta", "1.5",
                                           "--c", "1.2", "--x0", "2"]),
+    # the mean's tail integral is 3.6e-6: small enough that an absolute error
+    # tolerance, not a relative one, would bound its accuracy
+    ("simulate-heavytail-c5-x0-82.5", SIM + ["--model", "heavytail", "--beta", "2",
+                                             "--c", "5", "--x0", "82.5"]),
     ("simulate-config", ["simulate", "--config", "{tmp}/simulate.cfg"]),
     ("simulate-config-override", ["simulate", "--config", "{tmp}/simulate.cfg",
                                   "--rule", "argmin", "--workers", "2"]),
