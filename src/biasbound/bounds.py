@@ -70,16 +70,18 @@ def _sigma_vector(sigmas, p_t=None) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def weighted_beta_norm(sigmas, p_t=None, beta: float = 2.0) -> float:
-    """||sigma_T||_beta = (sum_i p_i sigma_i^beta)^(1/beta); max over the
-    support for beta = inf."""
+    """||sigma_T||_beta = (sum_i p_i sigma_i^beta)^(1/beta) over the support
+    of p; the max over it for beta = inf."""
     beta = float(beta)
     if not beta >= 1:
         raise ValueError("beta must be >= 1")
     s, p = _sigma_vector(sigmas, p_t)
-    if math.isinf(beta):
-        sup = s[p > 0]
-        return float(sup.max()) if sup.size else 0.0
-    return float(np.sum(p * s ** beta) ** (1.0 / beta))
+    s, p = s[p > 0], p[p > 0]
+    top = float(s.max()) if s.size else 0.0
+    if math.isinf(beta) or not 0.0 < top < math.inf:
+        return top
+    # max sigma factored out, so that sigma^beta cannot overflow
+    return top * float(np.sum(p * (s / top) ** beta) ** (1.0 / beta))
 
 
 def mgf_bound(envelopes: Sequence[CgfEnvelope], p_t, info: float) -> float:
@@ -226,7 +228,10 @@ class BoundReport:
         for entry in self.bounds:
             e = dict(entry)
             if bias is not None and stderr is not None:
-                e["dominates"] = bool(entry["value"] >= bias - 3.0 * stderr)
+                # no verdict on a value or a slack that is not a number
+                e["dominates"] = bool(
+                    math.isfinite(entry["value"]) and math.isfinite(stderr)
+                    and entry["value"] >= bias - 3.0 * stderr)
             bounds_out.append(e)
         return _json_safe({
             "meta": self.meta,

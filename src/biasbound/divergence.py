@@ -12,9 +12,9 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from ._csv import Table
+from ._special import xlogx
 
 __all__ = [
     "PhiGenerator",
@@ -66,7 +66,7 @@ class PhiGenerator:
 def kl_generator() -> PhiGenerator:
     """phi(x) = x ln x - x + 1 (KL divergence in nats)."""
     def fn(x):
-        return special.xlogy(x, x) - x + 1.0
+        return xlogx(x) - x + 1.0
     return PhiGenerator(fn, phi_at_zero=1.0, slope_at_infinity=math.inf, name="kl")
 
 

@@ -15,7 +15,10 @@ Rules that depend only on the ordering of coordinates (argmax, argmin,
 fixed, top-k) are applied to the uniforms directly: a strictly increasing
 inverse CDF cannot change which index is selected, so only the selected
 uniform ever passes through the inverse CDF, which is closed-form for every
-built-in model (the heavy-tail one through the Wright omega function).
+built-in model.  The Gaussian quantile and the Wright omega function behind
+the heavy-tail one are computed in numpy by ``_special``: AS241 for the
+former, within 5 ulp of 40-digit values, and Algorithm 917's real branch for
+the latter, within 32 ulp, the bounds scipy's versions also meet.
 
 Each model states its own facts (mean, CGF envelope, moment cap, norming
 constant a_n) and each rule its own law of L = dP_{T,X} / d(P_T x P_X)
@@ -40,8 +43,9 @@ from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import special
+import numpy.random  # numpy loads it lazily: import it here, not in the first trial
 
+from ._special import ndtri, wrightomega, xlogx
 from .bounds import (conjugate_exponent, max_inequality_cgf_bound,
                      max_inequality_pnorm_bound, pnorm_bound, pnorm_uniform_bound)
 from .cgf import CgfEnvelope, SubGamma, SubGaussian
@@ -98,7 +102,7 @@ class GaussianIID:
         return self.mu + self.sigma * math.sqrt(2.0 * math.log(self.n))
 
     def inverse_cdf(self, u):
-        return self.mu + self.sigma * special.ndtri(u)
+        return self.mu + self.sigma * ndtri(u)
 
     @property
     def cgf_envelope(self) -> CgfEnvelope:
@@ -202,7 +206,7 @@ class HeavyTailIID:
     def _quantile(self, log_s):
         # clamped to the support: at log_s = 0 rounding can land 1 ulp below x0
         z = (self._log_k0 - log_s) / self.c + math.log(self.beta / self.c)
-        x = np.maximum(np.exp(self.c / self.beta * special.wrightomega(z)), self.x0)
+        x = np.maximum(np.exp(self.c / self.beta * wrightomega(z)), self.x0)
         return float(x) if np.ndim(x) == 0 else x
 
     def inverse_cdf(self, u):
@@ -452,8 +456,11 @@ def run_experiment(model, rule, trials: int, seed: int = 0, *,
     deviations = phi_sel - model.mean
     bias = float(np.mean(deviations))
     selected_mean = float(np.mean(phi_sel))
-    stderr = float(np.std(deviations, ddof=1) / math.sqrt(trials)) if trials > 1 \
-        else math.nan
+    # deviations scaled by a power of two, which is exact, to put the largest
+    # in [1/2, 1): their squares can neither overflow nor underflow
+    scale = math.ldexp(1.0, -max(-1022, math.frexp(float(np.max(np.abs(deviations))))[1]))
+    stderr = float(np.std(deviations * scale, ddof=1) / scale / math.sqrt(trials)) \
+        if trials > 1 else math.nan
 
     if law is not None:  # L = m/k with probability k/m, else 0
         k, m = law
@@ -535,7 +542,7 @@ def _main_pass(model, rule, trials, seed, workers, alphas=None):
             if conditional:
                 dev = np.abs(n * q - 1.0)  # |L - 1|, L = q_ti / (1/n)
                 sums = np.empty((len(u), 1 + len(alphas)))
-                sums[:, 0] = special.xlogy(q, q).sum(axis=1)
+                sums[:, 0] = xlogx(q).sum(axis=1)
                 for j, a in enumerate(alphas):
                     sums[:, 1 + j] = (dev ** a).sum(axis=1)
                 acc = _in_order_sum(acc, sums)
@@ -606,7 +613,7 @@ def frechet_mean(beta: float) -> float:
     beta = float(beta)
     if not beta > 1:
         raise ValueError("beta must be > 1 for a finite Frechet mean")
-    return float(special.gamma(1.0 - 1.0 / beta))
+    return math.gamma(1.0 - 1.0 / beta)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,15 @@ def test_weighted_beta_norm():
     assert weighted_beta_norm([1.0, 9.0, 2.0], [0.5, 0.0, 0.5], math.inf) == 2.0
     # scalar sigma broadcasts over p
     assert weighted_beta_norm(1.5, [0.25, 0.75], 2.0) == pytest.approx(1.5)
+    # max sigma is factored out: no overflow in sigma^beta, one sigma exactly
+    assert weighted_beta_norm(1e200, None, 3.0) == 1e200
+    assert weighted_beta_norm([1e200, 2e200], [0.5, 0.5], 3.0) == pytest.approx(
+        1e200 * 4.5 ** (1 / 3), rel=1e-14)
+    assert weighted_beta_norm([0.0, 0.0], None, 2.0) == 0.0
+    assert weighted_beta_norm([1.0, math.inf], None, 2.0) == math.inf
+    # only the support of p counts
+    assert weighted_beta_norm([math.inf, 2.0], [0.0, 1.0], 3.0) == 2.0
+    assert weighted_beta_norm([1e300, 1.0], [0.0, 1.0], 3.0) == 1.0
     with pytest.raises(ValueError):
         weighted_beta_norm([1.0, -1.0], None, 2.0)
     with pytest.raises(ValueError):
@@ -193,6 +202,12 @@ def test_bound_report_ratios_and_dominance():
     assert d["ratios"] == [pytest.approx(1.2), pytest.approx(0.5)]
     assert d["bounds"][0]["dominates"] is True
     assert d["bounds"][1]["dominates"] is False
+    # a value or a stderr that is not a number dominates nothing
+    for bound, stderr in ((math.inf, 0.05), (math.nan, 0.05), (1.2, math.nan),
+                          (1.2, math.inf)):
+        rep3 = BoundReport(empirical={"bias": 1.0, "stderr": stderr})
+        rep3.add_bound("a", bound)
+        assert rep3.to_dict()["bounds"][0]["dominates"] is False
     # bias indistinguishable from zero: no ratios
     rep2 = BoundReport(empirical={"bias": 0.01, "stderr": 0.05})
     rep2.add_bound("a", 1.0)

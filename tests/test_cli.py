@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -488,6 +489,19 @@ def test_simulate_heavytail_bounds(capsys):
     assert "1.5" in got["dependence"]["I_alpha"]
 
 
+def test_simulate_huge_x0_is_finite_without_warnings(capsys):
+    # x0 = 1e200: squared deviations and sigma^beta would overflow unscaled
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run_json(capsys, ["simulate", "--model", "heavytail", "--x0", "1e200",
+                                "--trials", "2000"])
+    # the report writes a value that is not finite as null
+    assert 0 < 3.0 * got["empirical"]["stderr"] < got["empirical"]["bias"]
+    assert None not in got["ratios"]
+    for entry in got["bounds"]:
+        assert entry["value"] is not None and entry["dominates"] is True, entry
+
+
 def test_simulate_dependence_estimator_per_rule(capsys):
     # top-k is exact even when trials << n, where a plug-in would be biased low
     got = run_json(capsys, ["simulate", "--model", "exponential", "--n", "200",
@@ -658,19 +672,38 @@ def test_norms_bad_inputs_exit_2(tmp_path, capsys):
 
 # ---------------------------------------------------------------- import cost
 
-_HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
 
-
-def test_runs_load_no_heavy_scipy_subpackage(tmp_path):
-    # scipy.integrate alone pulls in optimize, linalg and sparse, a third of a
-    # cold start; the package needs scipy.special only
+def test_runs_load_no_scipy_module(tmp_path):
+    # importing scipy.special alone was half of every cold start; the package
+    # has its own ndtri, Wright omega and x ln x
+    (tmp_path / "joint.csv").write_text(",b0,b1\nt0,0.5,0.0\nt1,0.0,0.5\n")
+    (tmp_path / "env.csv").write_text("lambda,psi\n" + "".join(
+        f"{l / 10!r},{(l / 10) ** 2 / 2!r}\n" for l in range(41)))
+    (tmp_path / "data.csv").write_text("value\n1.0\n2.5\n0.5\n")
+    runs = [
+        ["simulate", "--model", model, "--n", "20", "--trials", "200"]
+        for model in ("gaussian", "exponential", "heavytail")
+    ] + [
+        ["simulate", "--model", "gaussian", "--rule", "softmax:0.5", "--trials", "200"],
+        ["simulate", "--model", "heavytail", "--rule", "softmax:0.5", "--trials", "200"],
+        ["sweep", "--model", "heavytail", "--n-list", "5,10", "--trials", "100"],
+        ["sweep", "--model", "gaussian", "--n-list", "5,10", "--trials", "100"],
+        ["bound", "--family", "gaussian", "--sigma", "1", "--I", "0.7"],
+        ["bound", "--family", "subgamma", "--sigma2", "1", "--c", "0.5", "--I", "1"],
+        ["bound", "--family", "subexponential", "--sigma", "1", "--b", "2", "--I", "2"],
+        ["bound", "--family", "tabulated", "--envelope", str(tmp_path / "env.csv"),
+         "--I", "1"],
+        ["bound", "--family", "pnorm", "--beta", "2", "--sigma", "1",
+         "--joint", str(tmp_path / "joint.csv")],
+        ["estimate", "--joint", str(tmp_path / "joint.csv"), "--alphas", "1.5,2"],
+        ["norms", "--data", str(tmp_path / "data.csv"), "--psi", "exp"],
+    ]
     script = f"""
 import sys
 import biasbound, biasbound.cli
-for argv in (["simulate", "--model", "heavytail", "--n", "20", "--trials", "200"],
-             ["sweep", "--model", "heavytail", "--n-list", "5,10", "--trials", "100"]):
-    assert biasbound.cli.main(argv + ["--out", sys.argv[1]]) == 0
-print(sorted(m for m in sys.modules if ".".join(m.split(".")[:2]) in {_HEAVY_SCIPY!r}))
+for argv in {runs!r}:
+    assert biasbound.cli.main(argv + ["--out", sys.argv[1]]) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
     src = os.path.dirname(os.path.dirname(biasbound.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -291,6 +291,18 @@ def test_argmin_mirrors_argmax():
                                                               res_max.stderr)
 
 
+def test_bias_and_stderr_scale_exactly_with_sigma():
+    # sigma = 2^k scales every deviation exactly; squared, those of order
+    # 2^600 would overflow and those of order 2^-600 lose bits as subnormals
+    base = run_experiment(GaussianIID(n=10), ArgMax(), trials=500, seed=1)
+    for k in (-600, 600):
+        with np.errstate(all="raise"):
+            res = run_experiment(GaussianIID(sigma=2.0 ** k, n=10), ArgMax(),
+                                 trials=500, seed=1)
+        assert res.bias == math.ldexp(base.bias, k)
+        assert res.stderr == math.ldexp(base.stderr, k)
+
+
 def test_fixed_index_is_unbiased():
     res = run_experiment(GaussianIID(n=7), FixedIndex(4), trials=20_000, seed=8)
     assert abs(res.bias) <= 4 * res.stderr

@@ -167,6 +167,8 @@ CORPUS += [
     # tolerance, not a relative one, would bound its accuracy
     ("simulate-heavytail-c5-x0-82.5", SIM + ["--model", "heavytail", "--beta", "2",
                                              "--c", "5", "--x0", "82.5"]),
+    # deviations of order 1e200: squares and sigma^beta overflow unless scaled
+    ("simulate-heavytail-x0-1e200", SIM + ["--model", "heavytail", "--x0", "1e200"]),
     ("simulate-config", ["simulate", "--config", "{tmp}/simulate.cfg"]),
     ("simulate-config-override", ["simulate", "--config", "{tmp}/simulate.cfg",
                                   "--rule", "argmin", "--workers", "2"]),
