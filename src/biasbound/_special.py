@@ -49,10 +49,12 @@ _FAR = ((2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.24266094738807843
 
 
 def _ratio(coeffs, r):
-    """num(r) / den(r), each by Horner's rule (in place on new arrays)."""
+    """num(r) / den(r), each by Horner's rule, in place on two new arrays."""
     num, den = coeffs
-    a = num[0] * r + num[1]
-    b = den[0] * r + den[1]
+    a = r * num[0]
+    a += num[1]
+    b = r * den[0]
+    b += den[1]
     for cn, cd in zip(num[2:], den[2:]):
         a *= r
         a += cn
@@ -66,24 +68,43 @@ def ndtri(p):
     """x with Phi(x) = p, the standard normal quantile.
 
     ndtri(0) = -inf and ndtri(1) = +inf; p outside [0, 1], and NaN, give NaN.
-    Each branch of AS241 is evaluated on its own values only.
+    Each branch of AS241 is evaluated on its own values only: the central and
+    the tail values are gathered by one index each, the tail's steps run in
+    place, and both are written into one output array.
     """
     p = np.asarray(p, dtype=float)
+    shape = p.shape
+    p = p.reshape(-1)
     q = p - 0.5
-    x = np.full_like(q, np.nan)
     central = np.abs(q) <= 0.425
-    qc = q[central]
-    x[central] = qc * _ratio(_CENTRAL, 0.180625 - qc * qc)
-    tail = ~central & (p > 0.0) & (p < 1.0)
-    r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)[tail]))  # 1 - p is exact here
-    near = r <= 5.0
-    r[near] = _ratio(_NEAR, r[near] - 1.6)
-    far = ~near
-    r[far] = _ratio(_FAR, r[far] - 5.0)
-    x[tail] = np.copysign(r, q[tail])
-    x[p == 0.0] = -np.inf
-    x[p == 1.0] = np.inf
-    return x[()]
+    x = np.empty_like(q)
+    c = np.flatnonzero(central)
+    qc = q[c]
+    y = _ratio(_CENTRAL, 0.180625 - qc * qc)
+    y *= qc
+    x[c] = y
+    tail = np.flatnonzero(~central)  # NaN and the infinities too
+    pt = p[tail]
+    with np.errstate(all="ignore"):  # p <= 0 and p >= 1 are mapped below
+        r = np.subtract(1.0, pt)  # exact for p in (0.925, 1]
+        np.minimum(pt, r, out=r)
+        np.log(r, out=r)
+        np.negative(r, out=r)
+        np.sqrt(r, out=r)
+        far = np.flatnonzero(r > 5.0)
+        if far.size:
+            y_far = _ratio(_FAR, r[far] - 5.0)
+        edge = np.flatnonzero(~(r < np.inf))  # min(p, 1 - p) <= 0, or NaN
+        r -= 1.6
+        y = _ratio(_NEAR, r)
+    if far.size:
+        y[far] = y_far
+    np.negative(y, out=y, where=pt < 0.5)  # y > 0 on (0, 1)
+    if edge.size:
+        pe = pt[edge]
+        y[edge] = np.where(pe == 0.0, -np.inf, np.where(pe == 1.0, np.inf, np.nan))
+    x[tail] = y
+    return x.reshape(shape)[()]
 
 
 def _fsc(z, w):

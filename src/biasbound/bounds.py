@@ -194,7 +194,8 @@ class BoundReport:
 
     ``bounds`` entries carry a ``side`` label: moment-route bounds control
     |bias| (two_sided), MGF-route bounds control the signed upper tail
-    (upper), and expected-max baselines control E[max] (expected_max).
+    (upper), and expected-max baselines control E[max] (expected_max);
+    printed_form marks a formula reported for comparison, not as a bound.
     Ratios bound/bias are reported only when the empirical bias is positive
     beyond three standard errors; dominance verdicts allow that slack.
     """

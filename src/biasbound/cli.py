@@ -349,7 +349,8 @@ def cmd_bound(cfg: RunConfig) -> bnd.BoundReport:
         env = SubExponential(sigma, cfg.b)
         report.add_bound("subexponential", env.inverse_conjugate(i_val), side="upper")
         report.add_bound("subexponential_piecewise",
-                         subexponential_piecewise_bound(sigma, cfg.b, i_val), side="upper")
+                         subexponential_piecewise_bound(sigma, cfg.b, i_val),
+                         side="printed_form")
     elif family == "tabulated":
         _require(cfg, "envelope")
         env = Tabulated.from_csv(cfg.envelope)

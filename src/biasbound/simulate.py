@@ -3,13 +3,16 @@
 Each trial t draws n i.i.d. coordinates from a measurement model via the
 inverse-CDF transform of uniforms, applies a selection rule to pick an index
 T, and records phi_T.  Seed contract: trial t's uniforms are the first n
-doubles of the Philox stream with key [seed, t] (two 64-bit words) and
-counter 0; top-k and softmax take the next double for their random choice.
-So results are bit-identical for any ``workers`` value and any subset of
-trials.  Each 1024-trial chunk owns one Philox generator and resets it to
-each trial's key, so the only per-trial work is filling one row of a
-(rows, n) tile of uniforms; rules and models act on whole tiles, row by row,
-and sums over trials are added in trial order.
+doubles of Generator(Philox(key=[seed, 0], counter=t*B)), B = ceil((n +
+extra) / 4); top-k and softmax (extra = 1) take the next double for their
+random choice.  Philox is counter-based, so trial t owns blocks t*B + 1 ..
+t*B + B of the one stream keyed [seed, 0], and results are bit-identical
+for any ``workers`` value and any subset of trials.  Consecutive trials lie
+end to end in that stream, so a tile of trials is one generator call; rules
+and models act on whole tiles, row by row, and sums over trials are added
+in trial order.  Sweep rows with different n read a prefix of the same
+stream, as they did under the earlier per-trial key [seed, t], so they are
+not independent of each other.
 
 Rules that depend only on the ordering of coordinates (argmax, argmin,
 fixed, top-k) are applied to the uniforms directly: a strictly increasing
@@ -72,7 +75,7 @@ __all__ = [
 ]
 
 _CHUNK = 1024  # fixed trial-chunk size: partial sums combine in chunk order
-_TILE = 8192  # doubles per tile of uniforms (64 KiB); a tile has max(1, _TILE // n) rows
+_TILE = 8192  # doubles per tile (64 KiB); a tile has max(1, _TILE // 4B) trials
 
 
 # ---------------------------------------------------------------------------
@@ -490,25 +493,32 @@ def _run_chunks(chunk_fn, trials: int, workers: int):
 
 def _tiles(seed: int, lo: int, hi: int, n: int, extra: bool):
     """Yield (start, u, r) for trials lo..hi-1 of one chunk: row i of u is the
-    first n doubles of the Philox stream keyed [seed, start + i] (counter 0),
-    and r[i] its next double when ``extra`` (else r is None).  The buffers are
-    reused, so a tile is valid until the next one is yielded."""
+    first n doubles of Generator(Philox(key=[seed, 0], counter=(start + i) * B))
+    and r[i] its next double when ``extra`` (else r is None).
+
+    Philox adds one to its 256-bit counter before each block of four doubles,
+    so trial t owns blocks t*B + 1 .. t*B + B, B = ceil((n + extra) / 4), and
+    consecutive trials lie end to end in the one stream keyed [seed, 0].  A
+    tile of rows = max(1, _TILE // 4B) trials is therefore one state
+    assignment (counter start*B as 64-bit words, the carry in word 1) and one
+    ``random`` call into a (rows, 4B) buffer.  The buffer is reused, so a tile
+    is valid until the next one is yielded.  The stream does not depend on n,
+    so runs at different n with one seed (the rows of a sweep) share it.
+    """
+    width = -(-(n + extra) // 4) * 4  # 4B doubles per trial
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
-    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0)},
+    state = {"bit_generator": "Philox", "state": {"key": (seed, 0)},
              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    rows = max(1, _TILE // n)
-    u = np.empty((rows, n))
-    r = np.empty(rows) if extra else None
+    rows = max(1, _TILE // width)
+    buf = np.empty((rows, width))
     for start in range(lo, hi, rows):
         m = min(rows, hi - start)
-        for i in range(m):
-            state["state"]["key"] = (seed, start + i)
-            bitgen.state = state  # counter 0, empty buffer
-            gen.random(out=u[i])
-            if extra:
-                r[i] = gen.random()
-        yield start, u[:m], None if r is None else r[:m]
+        high, low = divmod(start * (width // 4), 2 ** 64)
+        state["state"]["counter"] = (low, high, 0, 0)
+        bitgen.state = state  # empty buffer: the next block is counter + 1
+        gen.random(out=buf[:m])
+        yield start, buf[:m, :n], buf[:m, n] if extra else None
 
 
 def _in_order_sum(acc, rows):

@@ -208,6 +208,9 @@ def test_bound_subexponential_reports_both_forms(capsys):
                             "--b", "2", "--I", "2"])
     assert bound_map(got)["subexponential"]["value"] == pytest.approx(4.25)
     assert bound_map(got)["subexponential_piecewise"]["value"] == pytest.approx(4.125)
+    # below the bound for b > 1, so it is not labelled one
+    assert bound_map(got)["subexponential"]["side"] == "upper"
+    assert bound_map(got)["subexponential_piecewise"]["side"] == "printed_form"
     # the two printed forms coincide only at b = 1
     got = run_json(capsys, ["bound", "--family", "subexponential", "--sigma", "1",
                             "--b", "1", "--I", "2"])
@@ -222,6 +225,7 @@ def test_bound_subexponential_at_tiny_b(capsys):
                             "--b", "1e-200", "--I", "1"])
     assert bound_map(got)["subexponential"]["value"] == math.sqrt(2.0)
     assert bound_map(got)["subexponential_piecewise"]["value"] == math.sqrt(2.0)
+    assert bound_map(got)["subexponential_piecewise"]["side"] == "printed_form"
 
 
 def test_bound_tabulated_from_csv(tmp_path, capsys):

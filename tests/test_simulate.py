@@ -416,7 +416,7 @@ def test_softmax_single_trial_uses_the_exact_uniform_marginal():
     n, seed = 5, 3
     model, rule = GaussianIID(n=n), SoftMax(0.5)
     res = run_experiment(model, rule, trials=1, seed=seed, alphas=(1.5, 2.0))
-    rng = trial_rng(seed, 0)
+    rng = trial_rng(seed, 0, n, True)
     q = reference_rule(rule, model.inverse_cdf(rng.random(n)), rng)[1]
     assert res.i == pytest.approx(math.log(n) + float(np.sum(special.xlogy(q, q))),
                                   rel=1e-12)
@@ -559,9 +559,16 @@ def test_sweep_csv_byte_identical_across_workers():
 # ---------------------------------------------------------------------------
 # stream contract: the tile engine against the per-trial loop it replaced
 
-def trial_rng(seed, t):
-    """Trial t's stream: Philox with key [seed, t] (two 64-bit words), counter 0."""
-    return np.random.Generator(np.random.Philox(key=np.array([seed, t], dtype=np.uint64)))
+def blocks(n, extra):
+    """B, the Philox blocks of four doubles each trial owns."""
+    return -(-(n + extra) // 4)
+
+
+def trial_rng(seed, t, n, extra):
+    """Trial t's stream: Philox with key [seed, 0] (two 64-bit words) and
+    counter t*B; its first n + extra doubles are the trial's."""
+    return np.random.Generator(np.random.Philox(
+        key=np.array([seed, 0], dtype=np.uint64), counter=t * blocks(n, extra)))
 
 
 def reference_rule(rule, v, rng):
@@ -591,7 +598,7 @@ def reference_main_pass(model, rule, trials, seed, workers, alphas=None):
     for lo in range(0, trials, 1024):  # per-chunk sums, added in chunk order
         acc = np.zeros(width)
         for t in range(lo, min(lo + 1024, trials)):
-            rng = trial_rng(seed, t)
+            rng = trial_rng(seed, t, n, not rule.deterministic)
             u = rng.random(n)
             v = model.inverse_cdf(u) if rule.needs_values else u
             t_idx[t], q = reference_rule(rule, v, rng)
@@ -652,19 +659,30 @@ def test_tile_engine_matches_reference_property(seed, n, trials, rule, model):
                          reference_experiment(mp, m, rule, trials, seed))
 
 
+def assert_tiles_follow_contract(seed, lo, hi, n, extra):
+    starts = []
+    for start, u, r in simulate._tiles(seed, lo, hi, n, extra):
+        starts.append(start)
+        width = 4 * blocks(n, extra)
+        assert u.shape == (min(max(1, simulate._TILE // width), hi - start), n)
+        for i, row in enumerate(u):
+            rng = trial_rng(seed, start + i, n, extra)
+            assert np.array_equal(row, rng.random(n))
+            if extra:
+                assert r[i] == rng.random()
+            else:
+                assert r is None
+    assert starts[0] == lo and starts[-1] + len(u) == hi
+
+
 def test_trial_stream_is_keyed_philox_and_any_subset_agrees():
-    n, seed = 300, 2 ** 64 - 1
-    for lo, hi in [(0, 1024), (1000, 1024), (2048, 2050)]:
-        for extra in (False, True):
-            for start, u, r in simulate._tiles(seed, lo, hi, n, extra):
-                assert u.shape == (min(simulate._TILE // n, hi - start), n)
-                for i, row in enumerate(u):
-                    rng = trial_rng(seed, start + i)
-                    assert np.array_equal(row, rng.random(n))
-                    if extra:
-                        assert r[i] == rng.random()
-                    else:
-                        assert r is None
+    seed = 2 ** 64 - 1
+    # n = 300 and 8 fill whole blocks, so the extra double takes one more;
+    # n = 7 is padded to 8 with or without it
+    for n in (300, 7, 8):
+        for lo, hi in [(0, 1024), (1000, 1024), (2048, 2050)]:
+            for extra in (False, True):
+                assert_tiles_follow_contract(seed, lo, hi, n, extra)
     # a run over fewer trials repeats the first trials of a longer one
     model, rule = HeavyTailIID(n=30), SoftMax(0.5)
     short = simulate._main_pass(model, rule, 700, 9, 1, (2.0,))
@@ -674,6 +692,31 @@ def test_trial_stream_is_keyed_philox_and_any_subset_agrees():
     # every 64-bit seed is its own key: 2**64 - 1 is not seed 0
     assert run_experiment(model, rule, 50, 2 ** 64 - 1).bias != \
         run_experiment(model, rule, 50, 0).bias
+
+
+def test_trial_counter_carries_into_the_second_word():
+    # lo * B >= 2**64: the tile's first counter needs word 1, and a tile
+    # that starts just below 2**64 carries inside the generator
+    for n, extra in [(9, True), (4, False), (1, True)]:
+        b = blocks(n, extra)
+        lo = -(-2 ** 64 // b)
+        assert lo * b >= 2 ** 64
+        assert_tiles_follow_contract(3, lo, lo + 5, n, extra)
+        assert_tiles_follow_contract(2 ** 64 - 1, lo - 3, lo + 3, n, extra)
+
+
+def test_consecutive_trials_are_one_slice_of_a_single_stream():
+    # trials lo..hi-1, each padded to 4B doubles and laid end to end, are the
+    # doubles of one Generator.random call from counter lo * B
+    seed, lo, hi = 12345, 1000, 1400
+    for n, extra in [(100, False), (9, True), (10, False), (3, True), (2000, True)]:
+        width = 4 * blocks(n, extra)
+        stream = trial_rng(seed, lo, n, extra).random((hi - lo) * width)
+        trials = stream.reshape(hi - lo, width)
+        for start, u, r in simulate._tiles(seed, lo, hi, n, extra):
+            rows = trials[start - lo:start - lo + len(u)]
+            assert np.array_equal(u, rows[:, :n])
+            assert (r is None) if not extra else np.array_equal(r, rows[:, n])
 
 
 def test_threaded_chunks_match_serial_under_fast_switching():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from biasbound._special import ndtri, wrightomega, xlogx
+from biasbound._special import _CENTRAL, _FAR, _NEAR, ndtri, wrightomega, xlogx
 
 # Largest error, in units in the last place of the 40-digit value, that both
 # these functions and scipy.special's meet on the grids below: there ndtri
@@ -116,3 +116,48 @@ def test_xlogx_is_x_times_log_x():
     assert got[0] == 0.0
     # numpy's and the C library's log may round apart by an ulp
     assert np.allclose(got, ref, rtol=4e-16, atol=0.0)
+
+
+def ndtri_by_branch(p):
+    """AS241 with each branch evaluated on its own values only, by boolean
+    masks: the straightforward form ``ndtri`` must reproduce bit for bit."""
+    def _ratio(coeffs, r):
+        (n0, n1, *num), (d0, d1, *den) = coeffs
+        a, b = n0 * r + n1, d0 * r + d1
+        for cn, cd in zip(num, den):
+            a, b = a * r + cn, b * r + cd
+        return a / b
+
+    p = np.asarray(p, dtype=float)
+    q = p - 0.5
+    x = np.full_like(q, np.nan)
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    x[central] = qc * _ratio(_CENTRAL, 0.180625 - qc * qc)
+    tail = ~central & (p > 0.0) & (p < 1.0)
+    r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)[tail]))
+    near = r <= 5.0
+    r[near] = _ratio(_NEAR, r[near] - 1.6)
+    r[~near] = _ratio(_FAR, r[~near] - 5.0)
+    x[tail] = np.copysign(r, q[tail])
+    x[p == 0.0] = -np.inf
+    x[p == 1.0] = np.inf
+    return x[()]
+
+
+def test_ndtri_matches_branch_by_branch_evaluation_bit_for_bit():
+    # the grids, both sides of every branch edge, the domain edges and values
+    # outside it, then 10**6 seeded uniforms and their far tails
+    edges = [f(e) for e in _EDGES + [0.0, 1.0, 2.0 ** -1074] for f in (below, float, above)]
+    uniforms = np.random.default_rng(5).random(10 ** 6)
+    for u in (np.array(U_GRID), np.array(edges + [math.nan, math.inf, -math.inf, 1e300]),
+              uniforms, 1.0 - uniforms, uniforms * 1e-12,
+              np.exp(-np.linspace(0.0, 745.0, 10_001))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ndtri(u)
+        want = ndtri_by_branch(u)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    for v in edges:
+        assert repr(ndtri(v)) == repr(ndtri_by_branch(v))

@@ -182,6 +182,9 @@ CORPUS += [
     # a twin pair that must hash the same: 3 chunks on 1 and on 3 workers
     ("simulate-gaussian-softmax-workers1", SOFTMAX_CHUNKS + ["--workers", "1"]),
     ("simulate-gaussian-softmax-workers3", SOFTMAX_CHUNKS + ["--workers", "3"]),
+    # the largest key word together with top-k's extra double
+    ("simulate-topk-max-seed", ["simulate", "--n", "6", "--trials", "400", "--rule", "topk:3",
+                                "--seed", "18446744073709551615"]),
     # alphas that agree to 6 digits get distinct labels
     ("simulate-alpha-labels", SIM + ["--rule", "softmax:0.5", "--alphas", "1.5000001,1.5"]),
     ("simulate-topk-k-equals-n", SIM + ["--rule", "topk:6"]),
