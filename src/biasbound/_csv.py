@@ -1,16 +1,21 @@
-"""The one reader of the package's CSV inputs: joints, selection marginals,
-tabulated envelopes and weighted samples.
+"""The one reader and the one writer of the package's CSV files.
 
-Rules: the first line is a header; blank rows are skipped; every other row
+``Table`` reads joints, selection marginals, tabulated envelopes and weighted
+samples: the first line is a header; blank rows are skipped; every other row
 has exactly as many cells as the header; every error names the file and,
 where there is one, the line.  What the columns mean, and which values are
-valid, is up to the caller.
+valid, is up to the caller.  ``write`` writes reports, sweeps, joints and
+marginals: a finite float as ``repr(float(v))``, which reads back exactly,
+any other float as ``nan``, None as an empty cell and anything else by
+``str``; a cell holding a comma is quoted, and lines end with ``\n``.
 """
 
 from __future__ import annotations
 
 import csv
-from typing import List
+import io
+import math
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -55,3 +60,17 @@ class Table:
             except ValueError:
                 raise ValueError(f"{self.path}: line {line}: non-numeric entry") from None
         return np.array(out)
+
+
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return repr(float(value)) if math.isfinite(value) else "nan"
+    return "" if value is None else str(value)
+
+
+def write(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """The CSV text of a header line and data rows, by the rules above."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerows([header, *([_cell(v) for v in row] for row in rows)])
+    return out.getvalue()

@@ -14,8 +14,6 @@ calibration; they bound E[max_i Z_i], not the bias of a general rule.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import _csv
 from .cgf import (_NEGATIVE_INFO, CgfEnvelope, MixedEnvelope, _PointwiseMax,
                   _nonnegative)
 from .orlicz import OrliczFunction
@@ -174,6 +173,14 @@ def max_inequality_orlicz_bound(sigma: float, psi: OrliczFunction, n: int) -> fl
     return sigma * psi.inverse(float(n))
 
 
+_SE_SLACK = 3.0  # standard errors: of bias for a ratio, of shortfall for dominance
+
+
+def _resolved(bias, stderr) -> bool:
+    """Whether the bias is positive beyond ``_SE_SLACK`` standard errors."""
+    return bias is not None and stderr is not None and bias > _SE_SLACK * stderr
+
+
 def _json_safe(obj):
     if isinstance(obj, dict):
         return {k: _json_safe(v) for k, v in obj.items()}
@@ -186,6 +193,11 @@ def _json_safe(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
+
+
+def _json_text(payload) -> str:
+    """A report as indented JSON: numpy scalars as numbers, non-finite as null."""
+    return json.dumps(_json_safe(payload), indent=2) + "\n"
 
 
 @dataclass
@@ -208,23 +220,18 @@ class BoundReport:
     def add_bound(self, name: str, value: float, side: str = "two_sided") -> None:
         self.bounds.append({"name": name, "value": float(value), "side": side})
 
-    def _bias_resolved(self) -> Tuple[Optional[float], Optional[float]]:
+    def _bias_stderr(self) -> Tuple[Optional[float], Optional[float]]:
         if not self.empirical:
             return None, None
         return self.empirical.get("bias"), self.empirical.get("stderr")
 
     def ratios(self) -> List[Optional[float]]:
-        bias, stderr = self._bias_resolved()
-        out: List[Optional[float]] = []
-        for entry in self.bounds:
-            if bias is None or stderr is None or not bias > 3.0 * stderr:
-                out.append(None)
-            else:
-                out.append(entry["value"] / bias)
-        return out
+        bias, stderr = self._bias_stderr()
+        resolved = _resolved(bias, stderr)
+        return [entry["value"] / bias if resolved else None for entry in self.bounds]
 
     def to_dict(self) -> Dict:
-        bias, stderr = self._bias_resolved()
+        bias, stderr = self._bias_stderr()
         bounds_out = []
         for entry in self.bounds:
             e = dict(entry)
@@ -232,7 +239,7 @@ class BoundReport:
                 # no verdict on a value or a slack that is not a number
                 e["dominates"] = bool(
                     math.isfinite(entry["value"]) and math.isfinite(stderr)
-                    and entry["value"] >= bias - 3.0 * stderr)
+                    and entry["value"] >= bias - _SE_SLACK * stderr)
             bounds_out.append(e)
         return _json_safe({
             "meta": self.meta,
@@ -243,34 +250,23 @@ class BoundReport:
         })
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return _json_text(self.to_dict())
 
     def to_csv(self) -> str:
-        """Flat single-row CSV: meta columns, empirical, I, one column per bound;
-        a cell that holds a comma, such as a model label, is quoted."""
-        cols: List[str] = []
-        vals: List[str] = []
-
-        def put(key, value):
-            cols.append(key)
-            if isinstance(value, float):
-                vals.append("nan" if not math.isfinite(value) else repr(value))
+        """One header line and one row of the sections in order: meta,
+        empirical (blank bias and stderr if none), dependence (nested keys
+        joined by ``_``), then ``bound_<name>`` (``printed_<name>`` for a
+        printed form) and ``ratio_<name>`` per entry."""
+        cells = list(self.meta.items())
+        cells += (self.empirical or {"bias": None, "stderr": None}).items()
+        for key, value in (self.dependence or {}).items():
+            if isinstance(value, dict):
+                cells += ((f"{key}_{sub}", v) for sub, v in value.items())
             else:
-                vals.append("" if value is None else str(value))
-
-        for k, v in self.meta.items():
-            put(str(k), v)
-        bias, stderr = self._bias_resolved()
-        put("bias", bias if bias is None else float(bias))
-        put("stderr", stderr if stderr is None else float(stderr))
-        if self.dependence:
-            i_val = self.dependence.get("I")
-            put("I", i_val if i_val is None else float(i_val))
-            for a, v in (self.dependence.get("I_alpha") or {}).items():
-                put(f"I_alpha_{a}", float(v))
+                cells.append((key, value))
         for entry, ratio in zip(self.bounds, self.ratios()):
-            put(f"bound_{entry['name']}", float(entry["value"]))
-            put(f"ratio_{entry['name']}", ratio if ratio is None else float(ratio))
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows([cols, vals])
-        return out.getvalue()
+            kind = "printed" if entry["side"] == "printed_form" else "bound"
+            cells += ((f"{kind}_{entry['name']}", entry["value"]),
+                      (f"ratio_{entry['name']}", ratio))
+        header, row = zip(*cells)
+        return _csv.write(header, [row])

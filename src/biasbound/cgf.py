@@ -87,14 +87,13 @@ def _legendre(f: Callable[[float], float], x: float, domain_sup: float) -> float
         return math.inf
 
 
-def legendre_transform(f: Callable[[float], float], x: float,
-                       domain_sup: float = math.inf) -> float:
-    """sup over lam in [0, domain_sup) of lam*x - f(lam).
+def legendre_transform(f: Callable[[float], float], x: float) -> float:
+    """sup over lam >= 0 of lam*x - f(lam).
 
     f must be convex with f(0) = 0 (hence nonnegative), so the supremum is
     always >= 0; it is math.inf if lam*x - f(lam) still grows past 2**1000.
     """
-    return _nonnegative(lambda t: _legendre(f, t, domain_sup), x, _NEGATIVE_X)
+    return _nonnegative(lambda t: _legendre(f, t, math.inf), x, _NEGATIVE_X)
 
 
 class CgfEnvelope:

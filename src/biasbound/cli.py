@@ -12,7 +12,6 @@ that maps errors to them.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -445,10 +444,6 @@ def _emit(text: str, cfg: RunConfig) -> None:
         sys.stdout.write(text)
 
 
-def _json_text(payload) -> str:
-    return json.dumps(bnd._json_safe(payload), indent=2) + "\n"
-
-
 def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
@@ -459,14 +454,14 @@ def main(argv=None) -> int:
             text = report.to_csv() if cfg.format == "csv" else report.to_json()
         elif ns.command == "sweep":
             model, rows = cmd_sweep(cfg)
-            text = sim.sweep_to_csv(rows) if cfg.format != "json" else _json_text({
+            text = sim.sweep_to_csv(rows) if cfg.format != "json" else bnd._json_text({
                 "meta": {"command": "sweep", "model": model.label, "seed": cfg.seed},
                 "rows": [vars(r) for r in rows]})
         elif ns.command == "estimate":
-            text = _json_text(cmd_estimate(cfg))
+            text = bnd._json_text(cmd_estimate(cfg))
         else:
             payload = cmd_norms(cfg)
-            text, divergent = _json_text(payload), payload["divergent"]
+            text, divergent = bnd._json_text(payload), payload["divergent"]
         _emit(text, cfg)
         if divergent:
             print("error: norm diverged over the search range", file=sys.stderr)

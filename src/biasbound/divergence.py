@@ -7,12 +7,12 @@ superlinear generators).
 
 from __future__ import annotations
 
-import csv
 import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import _csv
 from ._csv import Table
 from ._special import xlogx
 
@@ -173,10 +173,8 @@ class DiscreteJoint:
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([""] + list(self.col_labels))
-            for label, row in zip(self.row_labels, self.p):
-                writer.writerow([label] + [repr(float(v)) for v in row])
+            rows = ([label, *row] for label, row in zip(self.row_labels, self.p))
+            fh.write(_csv.write(["", *self.col_labels], rows))
 
     @classmethod
     def from_csv(cls, path) -> "DiscreteJoint":
@@ -280,6 +278,4 @@ def load_probability_vector(path) -> np.ndarray:
 def save_probability_vector(p, path) -> None:
     p = _as_prob_vector(p)
     with open(path, "w", newline="") as fh:
-        fh.write("p\n")
-        for v in p:
-            fh.write(repr(float(v)) + "\n")
+        fh.write(_csv.write(["p"], ([v] for v in p)))

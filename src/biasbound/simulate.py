@@ -48,8 +48,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import numpy.random  # numpy loads it lazily: import it here, not in the first trial
 
+from . import _csv
 from ._special import ndtri, wrightomega, xlogx
-from .bounds import (conjugate_exponent, max_inequality_cgf_bound,
+from .bounds import (_resolved, conjugate_exponent, max_inequality_cgf_bound,
                      max_inequality_pnorm_bound, pnorm_bound, pnorm_uniform_bound)
 from .cgf import CgfEnvelope, SubGamma, SubGaussian
 from .divergence import _two_point_alpha
@@ -665,11 +666,10 @@ def bounds_for(model, rule, res: ExperimentResult) -> Dict[str, Tuple[float, str
 # ---------------------------------------------------------------------------
 # tightness sweep
 
-SWEEP_CSV_HEADER = "n,empirical_bias,stderr,a_n,frechet_ratio,bound_pnorm,bound_mgf,ratio"
-
-
 @dataclass(frozen=True)
 class SweepRow:
+    """One sweep CSV line: the field names, in order, are its header."""
+
     n: int
     empirical_bias: float
     stderr: float
@@ -678,6 +678,9 @@ class SweepRow:
     bound_pnorm: float
     bound_mgf: float
     ratio: float
+
+
+SWEEP_CSV_HEADER = ",".join(f.name for f in dataclasses.fields(SweepRow))
 
 
 def tightness_sweep(model, n_values: Sequence[int], trials: int, seed: int = 0,
@@ -700,10 +703,7 @@ def tightness_sweep(model, n_values: Sequence[int], trials: int, seed: int = 0,
                          math.nan)
         bound_pnorm = table.get("pnorm_uniform_loose", table.get("pnorm_uniform", math.nan))
         primary = bound_mgf if math.isfinite(bound_mgf) else bound_pnorm
-        if math.isfinite(res.stderr) and res.bias > 3.0 * res.stderr:
-            ratio = primary / res.bias
-        else:
-            ratio = math.nan
+        ratio = primary / res.bias if _resolved(res.bias, res.stderr) else math.nan
         a_n = m.norming_constant
         rows.append(SweepRow(
             n=int(n), empirical_bias=res.bias, stderr=res.stderr, a_n=a_n,
@@ -712,16 +712,5 @@ def tightness_sweep(model, n_values: Sequence[int], trials: int, seed: int = 0,
     return rows
 
 
-def _csv_float(x: float) -> str:
-    return "nan" if not math.isfinite(x) else repr(float(x))
-
-
 def sweep_to_csv(rows: Sequence[SweepRow]) -> str:
-    lines = [SWEEP_CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            str(r.n), _csv_float(r.empirical_bias), _csv_float(r.stderr),
-            _csv_float(r.a_n), _csv_float(r.frechet_ratio),
-            _csv_float(r.bound_pnorm), _csv_float(r.bound_mgf),
-            _csv_float(r.ratio)]))
-    return "\n".join(lines) + "\n"
+    return _csv.write(SWEEP_CSV_HEADER.split(","), map(dataclasses.astuple, rows))

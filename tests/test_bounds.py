@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -229,6 +231,24 @@ def test_bound_report_json_and_csv():
     rep.add_bound("inf", math.inf)
     assert json.loads(rep.to_json())["bounds"][1]["value"] is None
     assert "nan" in rep.to_csv()
+
+
+def test_bound_report_csv_columns_come_from_its_sections():
+    # every key of every section is a column, in section order
+    rep = BoundReport(meta={"command": "simulate", "model": "m(a=1,b=2)"},
+                      empirical={"bias": 0.5, "stderr": 0.1, "exact_bias": 0.45},
+                      dependence={"I": 1.0, "I_se": 0.1, "I_alpha": {"2": 3.0}})
+    rep.add_bound("mgf", 2.0, side="upper")
+    rep.add_bound("form", 1.0, side="printed_form")
+    header, row = csv.reader(io.StringIO(rep.to_csv()))
+    assert header == ["command", "model", "bias", "stderr", "exact_bias", "I", "I_se",
+                      "I_alpha_2", "bound_mgf", "ratio_mgf", "printed_form", "ratio_form"]
+    assert row == ["simulate", "m(a=1,b=2)", "0.5", "0.1", "0.45", "1.0", "0.1", "3.0",
+                   "2.0", "4.0", "1.0", "2.0"]
+    # no empirical section: blank bias and stderr, and no ratios
+    rep = BoundReport(meta={"command": "bound"}, dependence={"I": None, "I_alpha": {}})
+    rep.add_bound("x", 0.75)
+    assert rep.to_csv() == "command,bias,stderr,I,bound_x,ratio_x\nbound,,,,0.75,\n"
 
 
 def test_gaussian_bound_signed_zero_budget():

@@ -211,6 +211,13 @@ def test_bound_subexponential_reports_both_forms(capsys):
     # below the bound for b > 1, so it is not labelled one
     assert bound_map(got)["subexponential"]["side"] == "upper"
     assert bound_map(got)["subexponential_piecewise"]["side"] == "printed_form"
+    # the CSV does not call the printed form a bound either
+    code, out, err = run_cli(capsys, ["bound", "--family", "subexponential", "--sigma", "1",
+                                      "--b", "2", "--I", "2", "--format", "csv"])
+    assert code == 0, err
+    assert out.split("\n")[0] == (
+        "command,family,seed,bias,stderr,I,bound_subexponential,ratio_subexponential,"
+        "printed_subexponential_piecewise,ratio_subexponential_piecewise")
     # the two printed forms coincide only at b = 1
     got = run_json(capsys, ["bound", "--family", "subexponential", "--sigma", "1",
                             "--b", "1", "--I", "2"])

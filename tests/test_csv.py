@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from biasbound._csv import Table
+from biasbound._csv import Table, write
 
 
 def test_header_rows_and_floats(tmp_path):
@@ -48,3 +50,19 @@ def test_read_failures_name_the_file(tmp_path):
     path.write_bytes(b"value\n\xff\n")
     with pytest.raises(ValueError, match=r"t.csv: .*codec can.t decode"):
         Table(path)
+
+
+def test_write_cells():
+    text = write(["label", "none", "pinf", "ninf", "nan", "np", "int"],
+                 [["a,b", None, math.inf, -math.inf, math.nan, np.float64(0.1), 7]])
+    assert text == 'label,none,pinf,ninf,nan,np,int\n"a,b",,nan,nan,nan,0.1,7\n'
+
+
+def test_write_round_trips_through_table(tmp_path):
+    values = [[0.1, 1 / 3, 5e-324], [-2.5e300, np.float64(2) ** -60, 1e16]]
+    path = tmp_path / "t.csv"
+    path.write_text(write(["", "x,y", "z", "w"], [["t0", *values[0]], ["t1", *values[1]]]))
+    table = Table(path)
+    assert table.header == ["", "x,y", "z", "w"]
+    assert [row[0] for row in table.rows] == ["t0", "t1"]
+    assert np.array_equal(table.floats(1), values)  # repr reads back exactly

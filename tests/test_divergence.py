@@ -263,6 +263,7 @@ def test_joint_csv_round_trip(tmp_path):
     joint = random_joint(rng, (3, 4))
     path = tmp_path / "joint.csv"
     joint.to_csv(path)
+    assert b"\r" not in path.read_bytes()  # lines end with \n, as every CSV written
     back = DiscreteJoint.from_csv(path)
     assert np.array_equal(joint.p, back.p)  # repr round-trips exactly
     assert back.row_labels == joint.row_labels

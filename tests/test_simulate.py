@@ -503,7 +503,9 @@ def test_sweep_rows_and_csv():
             (r.empirical_bias + model.mean) / r.a_n, rel=1e-12)
     text = sweep_to_csv(rows)
     lines = text.strip().split("\n")
-    assert lines[0] == SWEEP_CSV_HEADER
+    # the header README documents; SWEEP_CSV_HEADER is derived from SweepRow
+    assert lines[0] == SWEEP_CSV_HEADER == (
+        "n,empirical_bias,stderr,a_n,frechet_ratio,bound_pnorm,bound_mgf,ratio")
     assert len(lines) == 3
     first = lines[1].split(",")
     assert int(first[0]) == 20

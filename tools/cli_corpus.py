@@ -95,6 +95,9 @@ CORPUS = [
                                         "1", "--b", "2", "--I", "0"]),
     ("bound-pnorm-ialpha", ["bound", "--family", "pnorm", "--beta", "3", "--sigma", "1,2",
                             "--i-alpha", "0.7"]),
+    # --i-alpha without --I: the I cell is blank
+    ("bound-pnorm-ialpha-csv", ["bound", "--family", "pnorm", "--beta", "3",
+                                "--sigma", "1,2", "--i-alpha", "0.7", "--format", "csv"]),
     ("bound-pnorm-joint", ["bound", "--family", "pnorm", "--beta", "2", "--sigma", "1",
                            "--joint", "{tmp}/joint.csv"]),
     ("bound-pnorm-uniform", ["bound", "--family", "pnorm", "--beta", "2", "--sigma", "1",
@@ -155,6 +158,9 @@ CORPUS += [
     ("simulate-rule-defaults-softmax", SIM + ["--rule", "softmax:"]),
     ("simulate-gaussian-params-csv", SIM + ["--model", "gaussian", "--mu", "1.5",
                                             "--sigma", "2", "--format", "csv"]),
+    # an estimated dependence: a rule_conditional row with I_alpha_* columns
+    ("simulate-gaussian-softmax-csv", SIM + ["--model", "gaussian", "--rule", "softmax:0.5",
+                                             "--format", "csv"]),
     ("simulate-exponential-rate", SIM + ["--model", "exponential", "--rate", "2.5",
                                          "--alphas", "1.5,3"]),
     ("simulate-heavytail-beta2", SIM + ["--model", "heavytail", "--beta", "2",
