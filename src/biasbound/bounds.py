@@ -113,7 +113,7 @@ def pnorm_uniform_bound(sigmas, beta: float, n: int, p_t=None) -> UniformPnormBo
     beta = 2 gives ||sigma||_2 sqrt(n-1); beta in (2, inf] gives
     ||sigma||_beta (1 + n^(alpha-1))^(1/alpha) together with the looser
     2^(1/alpha) ||sigma||_beta n^(1/beta).  No uniform cap exists for
-    beta < 2, so that range is refused.
+    beta < 2, so that range is refused.  p_t must have n entries, sigmas 1 or n.
     """
     beta = float(beta)
     if not beta >= 2:
@@ -121,6 +121,10 @@ def pnorm_uniform_bound(sigmas, beta: float, n: int, p_t=None) -> UniformPnormBo
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
+    if p_t is not None and np.size(p_t) != n:
+        raise ValueError(f"p_t has {np.size(p_t)} entries, not n = {n}")
+    if np.size(sigmas) not in (1, n):
+        raise ValueError(f"sigma has {np.size(sigmas)} values, not 1 or n = {n}")
     alpha = conjugate_exponent(beta)
     norm = weighted_beta_norm(sigmas, p_t, beta)
     if beta == 2.0:

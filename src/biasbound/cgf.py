@@ -309,10 +309,11 @@ class Tabulated(CgfEnvelope):
 class MixedEnvelope(CgfEnvelope):
     """Convex combination of envelopes: psi(lam) = sum_i w_i psi_i(lam).
 
-    domain_sup is the minimum over all component domain_sup values; weights
-    must be nonnegative and sum to 1.  Homogeneous mixtures collapse to a
-    closed-form member (sub-Gaussian, sub-gamma with shared c, or
-    sub-exponential); anything else evaluates conjugates numerically.
+    Weights must be nonnegative and sum to 1.  A zero-weight component adds
+    nothing: domain_sup is the minimum over the positive-weight components
+    only.  Homogeneous mixtures collapse to a closed-form member
+    (sub-Gaussian, sub-gamma with shared c, or sub-exponential); anything
+    else evaluates conjugates numerically.
     """
 
     def __init__(self, components: Sequence[Tuple[float, CgfEnvelope]]):
@@ -325,12 +326,13 @@ class MixedEnvelope(CgfEnvelope):
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError("mixture weights must sum to 1")
         self.components = tuple(components)
-        self._domain_sup = sup = min(env.domain_sup for _, env in components)
-        self._terms = tuple((w, env._psi) for w, env in components if w > 0)
-        # finite at lam == domain_sup only if every positive-weight component is
+        active = [(w, env) for w, env in components if w > 0]
+        self._domain_sup = sup = min(env.domain_sup for _, env in active)
+        self._terms = tuple((w, env._psi) for w, env in active)
+        # finite at lam == domain_sup only if every term is
         self._boundary_finite = math.isfinite(sup) and all(
             math.isfinite(psi(sup)) for _, psi in self._terms)
-        collapsed = self._collapse()
+        collapsed = self._collapse(active)
         if collapsed is not None:  # its closed forms are the mixture's
             self._conjugate = collapsed._conjugate
             self._inverse_conjugate = collapsed._inverse_conjugate
@@ -345,8 +347,8 @@ class MixedEnvelope(CgfEnvelope):
             return math.inf
         return sum(w * psi(lam) for w, psi in self._terms)
 
-    def _collapse(self):
-        active = [(w, e) for w, e in self.components if w > 0]
+    @staticmethod
+    def _collapse(active):
         if all(isinstance(e, SubGaussian) for _, e in active):
             s2 = sum(w * e.sigma ** 2 for w, e in active)
             return SubGaussian(math.sqrt(s2))

@@ -15,9 +15,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import List, Optional
 
 from . import bounds as bnd
 from . import divergence as dv
@@ -41,18 +39,14 @@ def _parse_float(s: str) -> float:
     return x
 
 
-def _parse_floats(s: str) -> List[float]:
-    try:
-        return [_parse_float(x) for x in str(s).split(",") if x.strip() != ""]
-    except ValueError:
-        raise ValueError(f"expected comma-separated floats, got {s!r}") from None
-
-
-def _parse_ints(s: str) -> List[int]:
-    try:
-        return [int(x) for x in str(s).split(",") if x.strip() != ""]
-    except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {s!r}") from None
+def _parse_list(item, what: str):
+    """Parser of a comma-separated list of ``item`` values, ``what`` in its error."""
+    def parse(s: str) -> list:
+        try:
+            return [item(x) for x in str(s).split(",") if x.strip() != ""]
+        except ValueError:
+            raise ValueError(f"expected comma-separated {what}, got {s!r}") from None
+    return parse
 
 
 def _parse_bool(s: str) -> bool:
@@ -68,8 +62,10 @@ def _parse_bool(s: str) -> bool:
 _INT = (int, str, "integer")
 _STR = (str, str, "string")
 _FLOAT = (_parse_float, lambda v: repr(float(v)), "number")
-_FLOATS = (_parse_floats, lambda v: ",".join(repr(float(x)) for x in v), "list of numbers")
-_INTS = (_parse_ints, lambda v: ",".join(str(int(x)) for x in v), "list of integers")
+_FLOATS = (_parse_list(_parse_float, "floats"),
+           lambda v: ",".join(repr(float(x)) for x in v), "list of numbers")
+_INTS = (_parse_list(int, "integers"),
+         lambda v: ",".join(str(int(x)) for x in v), "list of integers")
 _BOOL = (_parse_bool, lambda v: "true" if v else "false", "boolean")
 
 
@@ -85,29 +81,244 @@ def _flag_type(kind):
     return convert
 
 
+# --model names; the dataclass defaults are the CLI defaults
+_MODELS = {"gaussian": sim.GaussianIID, "exponential": sim.ExponentialIID,
+           "heavytail": sim.HeavyTailIID}
+# NAME:ARG specs of --rule and --psi: name -> (factory, default of its one
+# parameter, None for a factory without one); a rule's is its dataclass default
+_RULES = {name: (rule, next((f.default for f in fields(rule)), None))
+          for name, rule in (("argmax", sim.ArgMax), ("argmin", sim.ArgMin),
+                             ("fixed", sim.FixedIndex), ("topk", sim.TopKUniform),
+                             ("softmax", sim.SoftMax))}
+_PSIS = {"power": (orz.power_orlicz, 2.0), "scaled": (orz.scaled_power_orlicz, 2.0),
+         "exp": (orz.exp_orlicz, None)}
+
+
+def _parse_spec(spec: str, table, what: str, wrap_errors: bool = False):
+    """NAME or NAME:ARG, looked up in ``table``; ARG, read as the type of the
+    parameter's default, replaces that default, and is ignored without one.
+    With ``wrap_errors`` a rejected ARG reads ``invalid <what> <spec>: ...``."""
+    name, _, arg = spec.partition(":")
+    entry = table.get(name.strip().lower())
+    if entry is None:
+        raise ConfigError(f"unknown {what} {spec!r}")
+    factory, default = entry
+    try:
+        if default is None:
+            return factory()
+        return factory(type(default)(arg) if arg else default)
+    except ValueError as exc:
+        if not wrap_errors:
+            raise
+        raise ConfigError(f"invalid {what} {spec!r}: {exc}") from None
+
+
+def _parse_rule(spec: str):
+    return _parse_spec(spec, _RULES, "rule")
+
+
+def _build_model(cfg: RunConfig):
+    """The --model class, given the options named like its fields."""
+    name = cfg.model or "gaussian"
+    if name not in _MODELS:
+        raise ConfigError(f"unknown model {name!r}")
+    params = {}
+    for f in fields(_MODELS[name]):
+        v = getattr(cfg, f.name)
+        if isinstance(v, list):  # --sigma is a list; a model takes one value
+            v = _one(cfg, f.name) if v else None
+        if v is not None:
+            params[f.name] = v
+    return _MODELS[name](**params)
+
+
+def _require(cfg: RunConfig, *names: str) -> None:
+    for name in names:
+        if getattr(cfg, name) in (None, []):  # --sigma "" parses to []
+            raise ConfigError(f"missing required option '{name}'")
+
+
+def _one(cfg: RunConfig, name: str) -> float:
+    """The value of a list option where one value is meant."""
+    values = getattr(cfg, name)
+    if len(values) != 1:
+        raise ConfigError(f"option '{name}' takes one value here, got {len(values)}")
+    return values[0]
+
+
+def _dependence(cfg: RunConfig, uses: str, alpha: float):
+    """(I, I_alpha at order alpha) from --I and --i-alpha, or both from --joint when
+    ``uses``, the one the family reads, is missing; an MGF family ignores --i-alpha."""
+    if getattr(cfg, uses) is None and cfg.joint:
+        joint = dv.DiscreteJoint.from_csv(cfg.joint)
+        return dv.mutual_information(joint), dv.alpha_mutual_information(joint, alpha)
+    return cfg.info, cfg.i_alpha if uses == "i_alpha" else None
+
+
+def cmd_bound(cfg: RunConfig) -> bnd.BoundReport:
+    _require(cfg, "family")
+    family = cfg.family
+    report = bnd.BoundReport(meta={"command": "bound", "family": family, "seed": cfg.seed})
+    p_t = dv.load_probability_vector(cfg.p_t) if cfg.p_t else None
+    uses, alpha = "info", 2.0  # an MGF family reads I; --joint also reports I_2
+    if family == "pnorm":
+        _require(cfg, "beta", "sigma")
+        uses, alpha = "i_alpha", bnd.conjugate_exponent(cfg.beta)
+        report.meta.update(beta=cfg.beta, alpha=alpha)
+        if cfg.uniform:
+            _require(cfg, "n")
+            ub = bnd.pnorm_uniform_bound(cfg.sigma, cfg.beta, cfg.n, p_t)
+            report.meta["n"] = cfg.n
+            report.add_bound("pnorm_uniform", ub.value)
+            report.add_bound("pnorm_uniform_loose", ub.loose)
+            return report
+    i_val, i_alpha = _dependence(cfg, uses, alpha)
+    report.dependence = {"I": i_val, "I_alpha": {} if i_alpha is None
+                         else {sim._alpha_key(alpha): i_alpha}}
+    if family == "pnorm":
+        if i_alpha is None:
+            raise ConfigError("pnorm bound needs --i-alpha, --joint, or --uniform")
+        report.add_bound("pnorm", bnd.pnorm_bound(cfg.sigma, p_t, cfg.beta, i_alpha))
+        return report
+
+    # the remaining families consume an information budget in nats
+    if i_val is None:
+        raise ConfigError(f"{family} bound needs --I or --joint")
+    if i_val < 0:
+        raise ConfigError("information budget must be nonnegative")
+    if family == "gaussian":
+        _require(cfg, "sigma")
+        report.add_bound("gaussian",
+                         bnd.gaussian_bound(cfg.sigma, i_val, p_t), side="upper")
+    elif family == "subgamma":
+        _require(cfg, "sigma2", "c")
+        env = SubGamma(cfg.sigma2, cfg.c)
+        report.add_bound("subgamma", env.inverse_conjugate(i_val), side="upper")
+    elif family == "subexponential":
+        _require(cfg, "sigma", "b")
+        sigma = _one(cfg, "sigma")
+        env = SubExponential(sigma, cfg.b)
+        report.add_bound("subexponential", env.inverse_conjugate(i_val), side="upper")
+        report.add_bound("subexponential_piecewise",
+                         subexponential_piecewise_bound(sigma, cfg.b, i_val),
+                         side="printed_form")
+    elif family == "tabulated":
+        _require(cfg, "envelope")
+        env = Tabulated.from_csv(cfg.envelope)
+        report.add_bound("mgf_tabulated", env.inverse_conjugate(i_val), side="upper")
+    else:  # a config file can name any family
+        raise ConfigError(f"unknown family {family!r}")
+    return report
+
+
+def cmd_simulate(cfg: RunConfig) -> bnd.BoundReport:
+    model = _build_model(cfg)
+    rule = _parse_rule(cfg.rule or "argmax")
+    alphas = list(cfg.alphas or [])
+    # I_2 and the I_alpha that the moment cap's conjugate exponent consumes
+    for a in (2.0, bnd.conjugate_exponent(model.moment_cap[0])):
+        if a not in alphas:
+            alphas.append(a)
+    res = sim.run_experiment(model, rule, cfg.trials, cfg.seed, alphas=alphas,
+                             workers=cfg.workers)
+    report = bnd.BoundReport(
+        meta={"command": "simulate", "model": model.label, "rule": rule.label,
+              "n": model.n, "trials": res.trials, "seed": res.seed,
+              "selected_mean": res.selected_mean,
+              "dependence_estimator": res.estimator},
+        empirical={"bias": res.bias, "stderr": res.stderr},
+        dependence={"I": res.i, "I_alpha": res.i_alpha})
+    if model.cgf_envelope is None:
+        report.meta["beta_norm_uncentered"] = model.moment_cap[1]
+    for name, (value, side) in sim.bounds_for(model, rule, res).items():
+        report.add_bound(name, value, side)
+    return report
+
+
+def cmd_sweep(cfg: RunConfig) -> None:
+    model = _build_model(cfg)
+    rows = sim.tightness_sweep(model, cfg.n_list or [100, 1000, 10000], cfg.trials,
+                               cfg.seed, workers=cfg.workers)
+    _emit(sim.sweep_to_csv(rows) if cfg.format != "json" else bnd._json_text({
+        "meta": {"command": "sweep", "model": model.label, "seed": cfg.seed},
+        "rows": [vars(r) for r in rows]}), cfg)
+
+
+def cmd_estimate(cfg: RunConfig) -> None:
+    _require(cfg, "joint")
+    joint = dv.DiscreteJoint.from_csv(cfg.joint)
+    alphas = cfg.alphas or [2.0]
+    i_val = dv.mutual_information(joint)
+    i_alpha = {sim._alpha_key(a): dv.alpha_mutual_information(joint, a) for a in alphas}
+    marginal = {sim._alpha_key(a): dv.alpha_mi_marginal_bound(joint.p_rows, a)
+                for a in alphas}
+    kl_cap = dv.phi_mi_marginal_bound(joint.p_rows, dv.kl_generator())
+    equality = {k: bool(abs(i_alpha[k] - marginal[k]) <= 1e-9) for k in i_alpha}
+    _emit(bnd._json_text({
+        "meta": {"command": "estimate", "joint": cfg.joint,
+                 "rows": joint.n_rows, "cols": joint.n_cols},
+        "dependence": {"I": i_val, "I_alpha": i_alpha},
+        "marginal_bounds": {"I_alpha": marginal, "kl": kl_cap},
+        "equality_attained": equality,
+    }), cfg)
+
+
+def cmd_norms(cfg: RunConfig) -> None:
+    _require(cfg, "data", "psi")
+    psi = _parse_spec(cfg.psi, _PSIS, "psi", wrap_errors=True)
+    table = Table(cfg.data)
+    if len(table.header) > 2:
+        raise ConfigError(f"{cfg.data}: line 1: expected columns value or value,weight")
+    data = table.floats()
+    values, weights = data[:, 0], (data[:, 1] if data.shape[1] == 2 else None)
+    out = {"meta": {"command": "norms", "data": cfg.data, "psi": psi.name},
+           "norms": {}, "divergent": False}
+    for name, fn in (("luxemburg", orz.luxemburg_norm), ("amemiya", orz.amemiya_norm)):
+        try:
+            v = fn(values, psi, weights)
+        except orz.NumericDivergence:
+            v = math.inf
+        out["norms"][name] = v if math.isfinite(v) else None
+    out["divergent"] = None in out["norms"].values()
+    _emit(bnd._json_text(out), cfg)
+    if out["divergent"]:  # raised once the report, with null for that norm, is out
+        raise orz.NumericDivergence("norm diverged over the search range")
+
+
+def _emit(text: str, cfg: RunConfig) -> None:
+    if cfg.out:
+        with open(cfg.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _emit_report(report: bnd.BoundReport, cfg: RunConfig) -> None:
+    _emit(report.to_csv() if cfg.format == "csv" else report.to_json(), cfg)
+
+
+# subcommand -> (help, handler of the resolved RunConfig)
 _COMMANDS = {
-    "bound": "evaluate closed-form / numeric bias bounds",
-    "simulate": "run a seeded selection experiment",
-    "sweep": "argmax tightness sweep across sample sizes",
-    "estimate": "dependence measures of a joint CSV",
-    "norms": "Orlicz norms of a weighted sample CSV",
+    "bound": ("evaluate closed-form / numeric bias bounds",
+              lambda cfg: _emit_report(cmd_bound(cfg), cfg)),
+    "simulate": ("run a seeded selection experiment",
+                 lambda cfg: _emit_report(cmd_simulate(cfg), cfg)),
+    "sweep": ("argmax tightness sweep across sample sizes", cmd_sweep),
+    "estimate": ("dependence measures of a joint CSV", cmd_estimate),
+    "norms": ("Orlicz norms of a weighted sample CSV", cmd_norms),
 }
 _ALL = tuple(_COMMANDS)
 _TAIL = ("bound", "simulate", "sweep")  # tail parameters of bounds and models
 _SIM = ("simulate", "sweep")  # model and sampling options
 
-# --model and --rule names; the dataclass defaults are the CLI defaults
-_MODELS = {"gaussian": sim.GaussianIID, "exponential": sim.ExponentialIID,
-           "heavytail": sim.HeavyTailIID}
-_RULES = {"argmax": sim.ArgMax, "argmin": sim.ArgMin, "fixed": sim.FixedIndex,
-          "topk": sim.TopKUniform, "softmax": sim.SoftMax}
 
-
-def _option(kind, commands, *flags, **argparse_extras):
-    """A RunConfig field: its value kind, the subcommands that take it, its
-    flags (default ``--name`` with dashes) and extra ``add_argument`` keywords."""
+def _option(kind, commands, *flags, default=None, **argparse_extras):
+    """A RunConfig field, None when unset: its value kind, the subcommands that
+    take it, its flags (default ``--name`` with dashes), the default that
+    ``_resolve`` gives it and extra ``add_argument`` keywords."""
     return field(default=None, metadata={"kind": kind, "commands": commands,
-                                         "flags": flags, "extras": argparse_extras})
+                                         "flags": flags, "default": default,
+                                         "extras": argparse_extras})
 
 
 @dataclass
@@ -117,7 +328,7 @@ class RunConfig:
     Each field is one option; its name is the config key.
     """
 
-    seed: Optional[int] = _option(_INT, _ALL)
+    seed: Optional[int] = _option(_INT, _ALL, default=0)
     out: Optional[str] = _option(_STR, _ALL, help="output path (default: stdout)")
     format: Optional[str] = _option(_STR, _ALL, choices=["json", "csv"])
     family: Optional[str] = _option(_STR, ("bound",), choices=[
@@ -145,9 +356,9 @@ class RunConfig:
     x0: Optional[float] = _option(_FLOAT, _SIM)
     rule: Optional[str] = _option(_STR, ("simulate",),
                                   help="argmax | argmin | fixed:IDX | topk:K | softmax:TEMP")
-    trials: Optional[int] = _option(_INT, _SIM)
+    trials: Optional[int] = _option(_INT, _SIM, default=10000)
     alphas: Optional[List[float]] = _option(_FLOATS, ("simulate", "estimate"))
-    workers: Optional[int] = _option(_INT, _SIM)
+    workers: Optional[int] = _option(_INT, _SIM, default=1)
     n_list: Optional[List[int]] = _option(_INTS, ("sweep",),
                                           help="comma-separated sample sizes")
     data: Optional[str] = _option(_STR, ("norms",), help=(
@@ -207,7 +418,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="biasbound",
         description="Bias bounds for adaptive data exploration, with Monte Carlo checks.")
     sub = ap.add_subparsers(dest="command", required=True)
-    parsers = {name: sub.add_parser(name, help=text) for name, text in _COMMANDS.items()}
+    parsers = {name: sub.add_parser(name, help=text)
+               for name, (text, _) in _COMMANDS.items()}
     for p in parsers.values():
         p.add_argument("--config", default=None, help="flat key = value config file")
     for f in fields(RunConfig):
@@ -221,256 +433,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(ns: argparse.Namespace) -> RunConfig:
+    """Flags over the config file over the field defaults."""
     cli_cfg = RunConfig(**{f.name: getattr(ns, f.name, None) for f in fields(RunConfig)})
-    base = RunConfig()
-    if getattr(ns, "config", None):
-        base = RunConfig.from_file(ns.config)
+    base = RunConfig.from_file(ns.config) if ns.config else RunConfig()
     cfg = base.merged_under(cli_cfg)
-    if cfg.seed is None:
-        cfg.seed = 0
+    for f in fields(cfg):
+        if getattr(cfg, f.name) is None:
+            setattr(cfg, f.name, f.metadata["default"])
     return cfg
-
-
-def _parse_rule(spec: str):
-    """NAME or NAME:ARG; ARG, read as the type of the rule's parameter
-    default, replaces that default."""
-    name, _, arg = spec.partition(":")
-    rule = _RULES.get(name.strip().lower())
-    if rule is None:
-        raise ConfigError(f"unknown rule {spec!r}")
-    params = fields(rule)
-    if not (arg and params):
-        return rule()
-    return rule(type(params[0].default)(arg))
-
-
-def _parse_psi(spec: str) -> orz.OrliczFunction:
-    name, _, arg = spec.partition(":")
-    name = name.strip().lower()
-    try:
-        if name == "power":
-            return orz.power_orlicz(float(arg or 2.0))
-        if name == "scaled":
-            return orz.scaled_power_orlicz(float(arg or 2.0))
-        if name == "exp":
-            return orz.exp_orlicz()
-    except ValueError as exc:
-        raise ConfigError(f"invalid psi {spec!r}: {exc}")
-    raise ConfigError(f"unknown psi {spec!r}")
-
-
-def _build_model(cfg: RunConfig):
-    """The --model class, given the options named like its fields."""
-    name = cfg.model or "gaussian"
-    if name not in _MODELS:
-        raise ConfigError(f"unknown model {name!r}")
-    params = {}
-    for f in fields(_MODELS[name]):
-        v = getattr(cfg, f.name)
-        if isinstance(v, list):  # --sigma is a list; a model takes one value
-            v = _one(cfg, f.name) if v else None
-        if v is not None:
-            params[f.name] = v
-    return _MODELS[name](**params)
-
-
-def _load_joint_dependence(cfg: RunConfig, alpha: float):
-    joint = dv.DiscreteJoint.from_csv(cfg.joint)
-    return dv.mutual_information(joint), dv.alpha_mutual_information(joint, alpha)
-
-
-def _require(cfg: RunConfig, *names: str) -> None:
-    for name in names:
-        if getattr(cfg, name) in (None, []):  # --sigma "" parses to []
-            raise ConfigError(f"missing required option '{name}'")
-
-
-def _one(cfg: RunConfig, name: str) -> float:
-    """The value of a list option where one value is meant."""
-    values = getattr(cfg, name)
-    if len(values) != 1:
-        raise ConfigError(f"option '{name}' takes one value here, got {len(values)}")
-    return values[0]
-
-
-def cmd_bound(cfg: RunConfig) -> bnd.BoundReport:
-    _require(cfg, "family")
-    report = bnd.BoundReport(meta={"command": "bound", "family": cfg.family,
-                                   "seed": cfg.seed})
-    p_t = dv.load_probability_vector(cfg.p_t) if cfg.p_t else None
-    family = cfg.family
-
-    if family == "pnorm":
-        _require(cfg, "beta", "sigma")
-        alpha = bnd.conjugate_exponent(cfg.beta)
-        report.meta["beta"] = cfg.beta
-        report.meta["alpha"] = alpha
-        if cfg.uniform:
-            _require(cfg, "n")
-            ub = bnd.pnorm_uniform_bound(cfg.sigma, cfg.beta, cfg.n, p_t)
-            report.meta["n"] = cfg.n
-            report.add_bound("pnorm_uniform", ub.value)
-            report.add_bound("pnorm_uniform_loose", ub.loose)
-            return report
-        i_alpha = cfg.i_alpha
-        i_val = cfg.info
-        if i_alpha is None and cfg.joint:
-            i_val, i_alpha = _load_joint_dependence(cfg, alpha)
-        if i_alpha is None:
-            raise ConfigError("pnorm bound needs --i-alpha, --joint, or --uniform")
-        value = bnd.pnorm_bound(cfg.sigma, p_t, cfg.beta, i_alpha)
-        report.dependence = {"I": i_val, "I_alpha": {sim._alpha_key(alpha): i_alpha}}
-        report.add_bound("pnorm", value)
-        return report
-
-    # the remaining families consume an information budget in nats
-    i_val = cfg.info
-    i_alpha = None
-    if i_val is None and cfg.joint:
-        i_val, i_alpha = _load_joint_dependence(cfg, 2.0)
-    if i_val is None:
-        raise ConfigError(f"{family} bound needs --I or --joint")
-    if i_val < 0:
-        raise ConfigError("information budget must be nonnegative")
-    report.dependence = {"I": i_val,
-                         "I_alpha": {} if i_alpha is None else {"2": i_alpha}}
-    if family == "gaussian":
-        _require(cfg, "sigma")
-        report.add_bound("gaussian",
-                         bnd.gaussian_bound(cfg.sigma, i_val, p_t), side="upper")
-    elif family == "subgamma":
-        _require(cfg, "sigma2", "c")
-        env = SubGamma(cfg.sigma2, cfg.c)
-        report.add_bound("subgamma", env.inverse_conjugate(i_val), side="upper")
-    elif family == "subexponential":
-        _require(cfg, "sigma", "b")
-        sigma = _one(cfg, "sigma")
-        env = SubExponential(sigma, cfg.b)
-        report.add_bound("subexponential", env.inverse_conjugate(i_val), side="upper")
-        report.add_bound("subexponential_piecewise",
-                         subexponential_piecewise_bound(sigma, cfg.b, i_val),
-                         side="printed_form")
-    elif family == "tabulated":
-        _require(cfg, "envelope")
-        env = Tabulated.from_csv(cfg.envelope)
-        report.add_bound("mgf_tabulated", env.inverse_conjugate(i_val), side="upper")
-    else:  # a config file can name any family
-        raise ConfigError(f"unknown family {family!r}")
-    return report
-
-
-def cmd_simulate(cfg: RunConfig) -> bnd.BoundReport:
-    model = _build_model(cfg)
-    rule = _parse_rule(cfg.rule or "argmax")
-    alphas = list(cfg.alphas or [])
-    # I_2 and the I_alpha that the moment cap's conjugate exponent consumes
-    for a in (2.0, bnd.conjugate_exponent(model.moment_cap[0])):
-        if a not in alphas:
-            alphas.append(a)
-    trials = cfg.trials if cfg.trials is not None else 10000
-    res = sim.run_experiment(
-        model, rule, trials, cfg.seed, alphas=alphas,
-        workers=cfg.workers if cfg.workers is not None else 1)
-    report = bnd.BoundReport(
-        meta={"command": "simulate", "model": model.label, "rule": rule.label,
-              "n": model.n, "trials": res.trials, "seed": res.seed,
-              "selected_mean": res.selected_mean,
-              "dependence_estimator": res.estimator},
-        empirical={"bias": res.bias, "stderr": res.stderr},
-        dependence={"I": res.i, "I_alpha": res.i_alpha})
-    if model.cgf_envelope is None:
-        report.meta["beta_norm_uncentered"] = model.moment_cap[1]
-    for name, (value, side) in sim.bounds_for(model, rule, res).items():
-        report.add_bound(name, value, side)
-    return report
-
-
-def cmd_sweep(cfg: RunConfig):
-    model = _build_model(cfg)
-    n_list = cfg.n_list or [100, 1000, 10000]
-    trials = cfg.trials if cfg.trials is not None else 10000
-    return model, sim.tightness_sweep(
-        model, n_list, trials, cfg.seed,
-        workers=cfg.workers if cfg.workers is not None else 1)
-
-
-def cmd_estimate(cfg: RunConfig) -> Dict:
-    _require(cfg, "joint")
-    joint = dv.DiscreteJoint.from_csv(cfg.joint)
-    alphas = cfg.alphas or [2.0]
-    i_val = dv.mutual_information(joint)
-    i_alpha = {sim._alpha_key(a): dv.alpha_mutual_information(joint, a) for a in alphas}
-    marginal = {sim._alpha_key(a): dv.alpha_mi_marginal_bound(joint.p_rows, a)
-                for a in alphas}
-    kl_cap = dv.phi_mi_marginal_bound(joint.p_rows, dv.kl_generator())
-    equality = {k: bool(abs(i_alpha[k] - marginal[k]) <= 1e-9) for k in i_alpha}
-    return {
-        "meta": {"command": "estimate", "joint": cfg.joint,
-                 "rows": joint.n_rows, "cols": joint.n_cols},
-        "dependence": {"I": i_val, "I_alpha": i_alpha},
-        "marginal_bounds": {"I_alpha": marginal, "kl": kl_cap},
-        "equality_attained": equality,
-    }
-
-
-def cmd_norms(cfg: RunConfig) -> Dict:
-    _require(cfg, "data", "psi")
-    psi = _parse_psi(cfg.psi)
-    table = Table(cfg.data)
-    if len(table.header) > 2:
-        raise ConfigError(f"{cfg.data}: line 1: expected columns value or value,weight")
-    data = table.floats()
-    values, weights = data[:, 0], (data[:, 1] if data.shape[1] == 2 else None)
-    out = {"meta": {"command": "norms", "data": cfg.data, "psi": psi.name},
-           "norms": {}, "divergent": False}
-    for name, fn in (("luxemburg", orz.luxemburg_norm), ("amemiya", orz.amemiya_norm)):
-        try:
-            v = fn(values, psi, weights)
-        except orz.NumericDivergence:
-            v = math.inf
-        if not math.isfinite(v):
-            out["divergent"] = True
-            out["norms"][name] = None
-        else:
-            out["norms"][name] = v
-    return out
-
-
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
-        cfg = _resolve(ns)
-        divergent = False
-        if ns.command in ("bound", "simulate"):
-            report = cmd_bound(cfg) if ns.command == "bound" else cmd_simulate(cfg)
-            text = report.to_csv() if cfg.format == "csv" else report.to_json()
-        elif ns.command == "sweep":
-            model, rows = cmd_sweep(cfg)
-            text = sim.sweep_to_csv(rows) if cfg.format != "json" else bnd._json_text({
-                "meta": {"command": "sweep", "model": model.label, "seed": cfg.seed},
-                "rows": [vars(r) for r in rows]})
-        elif ns.command == "estimate":
-            text = bnd._json_text(cmd_estimate(cfg))
-        else:
-            payload = cmd_norms(cfg)
-            text, divergent = bnd._json_text(payload), payload["divergent"]
-        _emit(text, cfg)
-        if divergent:
-            print("error: norm diverged over the search range", file=sys.stderr)
-            return 3
+        _COMMANDS[ns.command][1](_resolve(ns))
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except orz.NumericDivergence as exc:
-        print(f"error: numeric divergence: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0
 

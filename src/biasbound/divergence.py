@@ -222,8 +222,12 @@ def alpha_mutual_information(joint: DiscreteJoint, alpha: float) -> float:
 
 def _two_point_alpha(k: int, m: int, alpha: float) -> float:
     """E|L - 1|^alpha for L = m/k with probability k/m, else 0 (1 <= k <= m):
-    I_alpha when T is, given the data, uniform on k of m equally likely cells."""
-    return k / m * ((m - k) / k) ** alpha + (m - k) / m
+    I_alpha when T is, given the data, uniform on k of m equally likely cells;
+    math.inf where it exceeds the largest double."""
+    try:
+        return k / m * ((m - k) / k) ** alpha + (m - k) / m
+    except OverflowError:
+        return math.inf
 
 
 def alpha_mi_marginal_bound(p_t, alpha: float) -> float:

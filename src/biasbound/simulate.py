@@ -132,6 +132,12 @@ class ExponentialIID:
     def __post_init__(self):
         if not self.rate > 0:
             raise ValueError("rate must be positive")
+        try:  # cgf_envelope's variance 1/rate^2 must be a positive finite double
+            ok = 0.0 < 1.0 / self.rate ** 2 < math.inf
+        except (ZeroDivisionError, OverflowError):  # 1/0, or rate ** 2 overflows
+            ok = False
+        if not ok:
+            raise ValueError("rate must lie in about (7.5e-155, 1.3e154)")
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
@@ -543,20 +549,22 @@ def _main_pass(model, rule, trials, seed, workers, alphas=None):
 
     def chunk(lo: int, hi: int):
         acc = np.zeros(1 + len(alphas)) if conditional else None
-        for start, u, r in _tiles(seed, lo, hi, n, not rule.deterministic):
-            v = model.inverse_cdf(u) if rule.needs_values else u
-            q = rule.conditional_probs(v) if conditional else None
-            k = rule.select(v, r, q)
-            rows = slice(start, start + len(u))
-            t_idx[rows] = k
-            u_sel[rows] = u[np.arange(len(u)), k]
-            if conditional:
-                dev = np.abs(n * q - 1.0)  # |L - 1|, L = q_ti / (1/n)
-                sums = np.empty((len(u), 1 + len(alphas)))
-                sums[:, 0] = xlogx(q).sum(axis=1)
-                for j, a in enumerate(alphas):
-                    sums[:, 1 + j] = (dev ** a).sum(axis=1)
-                acc = _in_order_sum(acc, sums)
+        # |L - 1|^alpha may overflow: that I_alpha is +inf, reported as null
+        with np.errstate(over="ignore"):
+            for start, u, r in _tiles(seed, lo, hi, n, not rule.deterministic):
+                v = model.inverse_cdf(u) if rule.needs_values else u
+                q = rule.conditional_probs(v) if conditional else None
+                k = rule.select(v, r, q)
+                rows = slice(start, start + len(u))
+                t_idx[rows] = k
+                u_sel[rows] = u[np.arange(len(u)), k]
+                if conditional:
+                    dev = np.abs(n * q - 1.0)  # |L - 1|, L = q_ti / (1/n)
+                    sums = np.empty((len(u), 1 + len(alphas)))
+                    sums[:, 0] = xlogx(q).sum(axis=1)
+                    for j, a in enumerate(alphas):
+                        sums[:, 1 + j] = (dev ** a).sum(axis=1)
+                    acc = _in_order_sum(acc, sums)
         return acc
 
     chunks = _run_chunks(chunk, trials, workers)  # summed in chunk order

@@ -71,6 +71,16 @@ def test_mgf_bound_heterogeneous_and_errors():
         mgf_bound(envs, [0.5, 0.3, 0.2], 0.7)
 
 
+def test_mgf_bound_ignores_cells_never_selected():
+    # psi_bar = E_T psi_T: a cell with P(T = i) = 0 contributes nothing, so
+    # its narrow domain (1/b = 0.1) must not cut the mixture's
+    envs = [SubGaussian(1.0), SubGamma(1.0, 0.5)]
+    want = mgf_bound(envs, [0.5, 0.5], 2.0)
+    got = mgf_bound(envs + [SubExponential(1.0, 10.0)], [0.5, 0.5, 0.0], 2.0)
+    assert got == want
+    assert want == pytest.approx(2.70, abs=0.01)
+
+
 def test_mgf_bound_monotone():
     envs = [SubGaussian(1.0), SubGamma(1.5, 0.8)]
     p = [0.4, 0.6]
@@ -130,6 +140,21 @@ def test_pnorm_uniform_caps_data_dependent_bound():
         cap = alpha_mi_cardinality_bound(n, 2.0)
         assert pnorm_bound(1.0, np.full(n, 1 / n), 2.0, cap) == pytest.approx(
             pnorm_uniform_bound(1.0, 2.0, n).value, rel=1e-12)
+
+
+def test_pnorm_uniform_cell_count_is_n():
+    # a joint attains I_2 = 2 on the marginal (0.5, 0.25, 0.25), a bias of
+    # sqrt(2); that marginal with n = 2 once gave a "cap" of 1.0
+    p = [0.5, 0.25, 0.25]
+    worst = pnorm_bound(1.0, p, 2.0, alpha_mi_marginal_bound(p, 2.0))
+    assert worst == pytest.approx(math.sqrt(2.0), rel=1e-14)
+    assert pnorm_uniform_bound(1.0, 2.0, 3, p).value == pytest.approx(worst, rel=1e-14)
+    with pytest.raises(ValueError, match="p_t has 3 entries, not n = 2"):
+        pnorm_uniform_bound(1.0, 2.0, 2, p)
+    with pytest.raises(ValueError, match="sigma has 2 values, not 1 or n = 3"):
+        pnorm_uniform_bound([1.0, 2.0], 2.0, 3)
+    assert pnorm_uniform_bound([1.0, 2.0, 3.0], 2.0, 3, p).value == pytest.approx(
+        weighted_beta_norm([1.0, 2.0, 3.0], p, 2.0) * math.sqrt(2.0), rel=1e-14)
 
 
 def test_closed_form_family_bounds():

@@ -356,6 +356,20 @@ def test_mixture_collapse_matches_numeric():
     assert math.isclose(mix.inverse_conjugate_numeric(0.9), expect, rel_tol=1e-8)
 
 
+def test_zero_weight_and_subexponential_mixtures_match_numeric():
+    # a never-selected component adds nothing: the sub-Gaussian's sqrt(2 I)
+    mix = MixedEnvelope([(1.0, SubGaussian(1.0)), (0.0, SubGamma(1.0, 10.0))])
+    assert mix.inverse_conjugate(2.0) == 2.0
+    assert math.isclose(mix.inverse_conjugate_numeric(2.0), 2.0, rel_tol=1e-8)
+    # homogeneous sub-exponential: mixed sigma^2 and the largest b, on both
+    # sides of the switch of its inverse at sigma^2 / (2 b^2) = 0.3125
+    mix = MixedEnvelope([(0.5, SubExponential(1.0, 2.0)), (0.5, SubExponential(2.0, 1.0))])
+    for info in (0.1, 3.0):
+        expect = SubExponential(math.sqrt(2.5), 2.0).inverse_conjugate(info)
+        assert math.isclose(mix.inverse_conjugate(info), expect, rel_tol=1e-12)
+        assert math.isclose(mix.inverse_conjugate_numeric(info), expect, rel_tol=1e-8)
+
+
 def test_heterogeneous_mixture_between_components():
     # a mixture bound sits between the pure bounds of its components
     lo_env, hi_env = SubGaussian(1.0), SubGaussian(3.0)
@@ -539,13 +553,13 @@ def test_mixture_boundary_rule_and_zero_weights():
     mix = MixedEnvelope([(0.5, SubGaussian(1.0)), (0.5, SubGamma(1.0, 0.5))])
     assert mix.evaluate(2.0) == math.inf
     assert math.isfinite(mix.evaluate(np.nextafter(2.0, 0.0)))
-    # a zero-weight component is skipped, even where it is +inf (0 * inf is
-    # nan), but its domain_sup still caps the mixture's
+    # a zero-weight component adds nothing, even where it is +inf (0 * inf
+    # is nan): its domain_sup does not cap the mixture's either
     mix = MixedEnvelope([(1.0, SubGaussian(1.0)), (0.0, SubGamma(1.0, 0.5))])
-    assert mix.domain_sup == 2.0
+    assert mix.domain_sup == math.inf
     assert mix.evaluate(1.0) == 0.5
     assert mix.evaluate(2.0) == 2.0
-    assert mix.evaluate(2.5) == math.inf
+    assert mix.evaluate(2.5) == 3.125
     # an infinite domain has no boundary
     mix = MixedEnvelope([(0.25, SubGaussian(1.0)), (0.75, SubGaussian(2.0))])
     assert mix.domain_sup == math.inf

@@ -513,6 +513,25 @@ def test_simulate_huge_x0_is_finite_without_warnings(capsys):
         assert entry["value"] is not None and entry["dominates"] is True, entry
 
 
+def test_simulate_overflowing_i_alpha_is_null(capsys):
+    # |L - 1|^alpha past the largest double: I_alpha and the pnorm bound that
+    # uses it are null, with no traceback and no warning
+    reports = []
+    for argv in (["simulate", "--model", "heavytail", "--n", "100", "--beta", "1.005"],
+                 ["simulate", "--n", "5", "--alphas", "1000"],
+                 ["simulate", "--n", "5", "--rule", "softmax:0.5", "--alphas", "1000"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, argv + ["--trials", "300"])
+        assert (code, err) == (0, ""), argv
+        reports.append(json.loads(out))
+        assert None in reports[-1]["dependence"]["I_alpha"].values(), argv
+    # the heavy tail's pnorm uses alpha = 201; softmax's uses alpha = 2
+    assert bound_map(reports[0])["pnorm"] == {
+        "name": "pnorm", "value": None, "side": "two_sided", "dominates": False}
+    assert bound_map(reports[2])["pnorm"]["dominates"] is True
+
+
 def test_simulate_dependence_estimator_per_rule(capsys):
     # top-k is exact even when trials << n, where a plug-in would be biased low
     got = run_json(capsys, ["simulate", "--model", "exponential", "--n", "200",

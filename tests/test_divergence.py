@@ -195,6 +195,9 @@ def test_two_point_alpha_within_5_ulps_of_mpmath():
     # the cardinality cap is the argmax law (1, n): exact at n = 1 and 10
     assert alpha_mi_cardinality_bound(1, 1.3) == 0.0
     assert alpha_mi_cardinality_bound(10, 2.0) == 9.0
+    # past the largest double the value is +inf, not an OverflowError
+    assert _two_point_alpha(1, 100, 201.0) == math.inf
+    assert _two_point_alpha(1, 5, 1000.0) == math.inf
 
 
 def test_phi_marginal_bound_specializes_to_entropy():

@@ -59,6 +59,12 @@ def test_model_validation():
         GaussianIID(sigma=0.0)
     with pytest.raises(ValueError):
         ExponentialIID(rate=-1.0)
+    # 1/rate^2, the sub-gamma variance, must be a positive finite double
+    for rate in (1e-200, 7.4e-155, 1.35e154, 1e200, math.inf):
+        with pytest.raises(ValueError, match=r"rate must lie in about \(7.5e-155, 1.3e154\)"):
+            ExponentialIID(rate=rate)
+    for rate in (7.5e-155, 1.3e154):
+        assert 0.0 < ExponentialIID(rate=rate).cgf_envelope.sigma2 < math.inf
     with pytest.raises(ValueError):
         HeavyTailIID(beta=0.5)
     with pytest.raises(ValueError):

@@ -114,6 +114,9 @@ CORPUS = [
                                  "--I", "-0.5"]),
     ("bound-err-uniform-beta", ["bound", "--family", "pnorm", "--beta", "1.5",
                                 "--sigma", "1", "--uniform", "--n", "5"]),
+    # --n is the cell count: a 3-cell marginal does not fit 2 cells
+    ("bound-err-uniform-n-pt", ["bound", "--family", "pnorm", "--beta", "2", "--sigma", "1",
+                                "--uniform", "--n", "2", "--p-t", "{tmp}/pt.csv"]),
     ("bound-err-bad-config", ["bound", "--config", "{tmp}/bad.cfg"]),
     ("bound-err-missing-config", ["bound", "--config", "{tmp}/missing.cfg"]),
     ("bound-err-missing-joint", ["bound", "--family", "pnorm", "--beta", "2",
@@ -175,6 +178,11 @@ CORPUS += [
                                              "--c", "5", "--x0", "82.5"]),
     # deviations of order 1e200: squares and sigma^beta overflow unless scaled
     ("simulate-heavytail-x0-1e200", SIM + ["--model", "heavytail", "--x0", "1e200"]),
+    # I_alpha past the largest double (alpha = 201, then 1000): null, not a traceback
+    ("simulate-heavytail-beta-near-1", ["simulate", "--model", "heavytail", "--n", "100",
+                                        "--beta", "1.005", "--trials", "400", "--seed", "3"]),
+    ("simulate-alphas-overflow", SIM + ["--alphas", "1000"]),
+    ("simulate-softmax-alphas-overflow", SIM + ["--rule", "softmax:0.5", "--alphas", "1000"]),
     ("simulate-config", ["simulate", "--config", "{tmp}/simulate.cfg"]),
     ("simulate-config-override", ["simulate", "--config", "{tmp}/simulate.cfg",
                                   "--rule", "argmin", "--workers", "2"]),
@@ -201,6 +209,9 @@ CORPUS += [
     ("simulate-err-model-param", ["simulate", "--model", "heavytail", "--beta", "0.9"]),
     ("simulate-err-config-bins", ["simulate", "--config", "{tmp}/bins.cfg"]),
     ("simulate-err-sigma-list", ["simulate", "--model", "gaussian", "--sigma", "1,50"]),
+    # 1/rate^2 is not a positive finite double
+    ("simulate-err-exponential-rate-tiny", SIM + ["--model", "exponential",
+                                                  "--rate", "1e-200"]),
     ("sweep-gaussian", SWEEP + ["--model", "gaussian", "--n-list", "20,50"]),
     ("sweep-exponential-json", SWEEP + ["--model", "exponential", "--rate", "2",
                                         "--n-list", "10,30", "--format", "json"]),
@@ -215,6 +226,8 @@ CORPUS += [
     ("sweep-config", ["sweep", "--config", "{tmp}/sweep.cfg"]),
     ("sweep-err-trials", SWEEP + ["--trials", "0"]),
     ("sweep-err-sigma-list", ["sweep", "--model", "gaussian", "--sigma", "3,1"]),
+    ("sweep-err-exponential-rate-huge", SWEEP + ["--model", "exponential", "--rate", "1e200",
+                                                 "--n-list", "10"]),
     ("estimate-identity", ["estimate", "--joint", "{tmp}/joint.csv", "--alphas", "1.5,2"]),
     ("estimate-independent", ["estimate", "--joint", "{tmp}/indep.csv"]),
     ("estimate-alpha-labels", ["estimate", "--joint", "{tmp}/indep.csv",
