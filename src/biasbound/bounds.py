@@ -24,6 +24,7 @@ import numpy as np
 from . import _csv
 from .cgf import (_NEGATIVE_INFO, CgfEnvelope, MixedEnvelope, _PointwiseMax,
                   _nonnegative)
+from .divergence import _on_support
 from .orlicz import OrliczFunction
 
 __all__ = [
@@ -51,32 +52,21 @@ def conjugate_exponent(beta: float) -> float:
     return beta / (beta - 1.0)
 
 
-def _sigma_vector(sigmas, p_t=None) -> Tuple[np.ndarray, np.ndarray]:
+def weighted_beta_norm(sigmas, p_t=None, beta: float = 2.0) -> float:
+    """||sigma_T||_beta = (sum_i p_i sigma_i^beta)^(1/beta) over the support of
+    p (uniform without p_t; one sigma for all cells); the max for beta = inf."""
+    beta = float(beta)
+    if not beta >= 1:
+        raise ValueError("beta must be >= 1")
     s = np.atleast_1d(np.asarray(sigmas, dtype=float))
     if not np.all(s >= 0):
         raise ValueError("sigma values must be nonnegative")
     if p_t is None:
-        p = np.full(s.size, 1.0 / s.size)
-    else:
-        p = np.asarray(p_t, dtype=float)
-        if s.size == 1 and p.size > 1:
-            s = np.full(p.size, s[0])
-        if p.shape != s.shape:
-            raise ValueError("p_t length must match the number of sigma values")
-        if not np.all(p >= 0) or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError("p_t must be a probability vector")
-    return s, p
-
-
-def weighted_beta_norm(sigmas, p_t=None, beta: float = 2.0) -> float:
-    """||sigma_T||_beta = (sum_i p_i sigma_i^beta)^(1/beta) over the support
-    of p; the max over it for beta = inf."""
-    beta = float(beta)
-    if not beta >= 1:
-        raise ValueError("beta must be >= 1")
-    s, p = _sigma_vector(sigmas, p_t)
-    s, p = s[p > 0], p[p > 0]
-    top = float(s.max()) if s.size else 0.0
+        p_t = np.full(s.size, 1.0 / s.size)
+    elif s.size == 1:
+        s = np.full(np.size(p_t), s[0])
+    p, s = _on_support(p_t, s, what="p_t")
+    top = float(s.max())
     if math.isinf(beta) or not 0.0 < top < math.inf:
         return top
     # max sigma factored out, so that sigma^beta cannot overflow
@@ -112,8 +102,9 @@ def pnorm_uniform_bound(sigmas, beta: float, n: int, p_t=None) -> UniformPnormBo
 
     beta = 2 gives ||sigma||_2 sqrt(n-1); beta in (2, inf] gives
     ||sigma||_beta (1 + n^(alpha-1))^(1/alpha) together with the looser
-    2^(1/alpha) ||sigma||_beta n^(1/beta).  No uniform cap exists for
-    beta < 2, so that range is refused.  p_t must have n entries, sigmas 1 or n.
+    2^(1/alpha) ||sigma||_beta n^(1/beta), with ||sigma||_beta under p_t, or
+    without it max sigma, the worst case over all marginals.  No uniform cap
+    exists for beta < 2, so that range is refused.  p_t has n entries, sigmas 1 or n.
     """
     beta = float(beta)
     if not beta >= 2:
@@ -126,7 +117,7 @@ def pnorm_uniform_bound(sigmas, beta: float, n: int, p_t=None) -> UniformPnormBo
     if np.size(sigmas) not in (1, n):
         raise ValueError(f"sigma has {np.size(sigmas)} values, not 1 or n = {n}")
     alpha = conjugate_exponent(beta)
-    norm = weighted_beta_norm(sigmas, p_t, beta)
+    norm = weighted_beta_norm(sigmas if p_t is not None else np.max(sigmas), p_t, beta)
     if beta == 2.0:
         value = norm * math.sqrt(n - 1.0)
     else:

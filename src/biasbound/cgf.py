@@ -41,6 +41,7 @@ import numpy as np
 
 from ._csv import Table
 from ._solve import NumericDivergence, minimize
+from .divergence import _as_prob_vector
 
 __all__ = [
     "CgfEnvelope",
@@ -309,9 +310,9 @@ class Tabulated(CgfEnvelope):
 class MixedEnvelope(CgfEnvelope):
     """Convex combination of envelopes: psi(lam) = sum_i w_i psi_i(lam).
 
-    Weights must be nonnegative and sum to 1.  A zero-weight component adds
-    nothing: domain_sup is the minimum over the positive-weight components
-    only.  Homogeneous mixtures collapse to a closed-form member
+    Weights must be nonnegative and sum to 1 within 1e-9.  A zero-weight
+    component adds nothing: domain_sup is the minimum over the positive-weight
+    components only.  Homogeneous mixtures collapse to a closed-form member
     (sub-Gaussian, sub-gamma with shared c, or sub-exponential); anything
     else evaluates conjugates numerically.
     """
@@ -320,11 +321,7 @@ class MixedEnvelope(CgfEnvelope):
         components = [(float(w), env) for w, env in components]
         if not components:
             raise ValueError("mixture needs at least one component")
-        weights = np.array([w for w, _ in components])
-        if np.any(weights < 0):
-            raise ValueError("mixture weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("mixture weights must sum to 1")
+        _as_prob_vector([w for w, _ in components], "mixture weights")
         self.components = tuple(components)
         active = [(w, env) for w, env in components if w > 0]
         self._domain_sup = sup = min(env.domain_sup for _, env in active)

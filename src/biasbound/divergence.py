@@ -109,15 +109,27 @@ def _as_measure(x) -> np.ndarray:
     return arr
 
 
-def _as_prob_vector(p) -> np.ndarray:
+def _as_prob_vector(p, what: str = "probabilities") -> np.ndarray:
+    """p as a 1-D array, nonnegative and summing to 1 within 1e-9."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         raise ValueError("expected a 1-D probability vector")
     if not np.all(p >= 0):
-        raise ValueError("probabilities must be nonnegative")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"probabilities must sum to 1, got {p.sum()!r}")
+        raise ValueError(f"{what} must be nonnegative")
+    total = float(p.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"{what} must sum to 1, got {total!r}")
     return p
+
+
+def _on_support(p, *arrays, what: str = "probabilities"):
+    """The probability vector p and each array of ``arrays``, one entry per
+    cell of p, on the cells where p > 0: a cell of zero weight adds nothing."""
+    p = _as_prob_vector(p, what)
+    if any(a.shape != p.shape for a in arrays):
+        raise ValueError(f"{what} must have one entry per value")
+    keep = p > 0
+    return (p[keep], *(a[keep] for a in arrays))
 
 
 class DiscreteJoint:
@@ -134,7 +146,7 @@ class DiscreteJoint:
             raise ValueError("joint table must be 2-D")
         if not np.all(p >= 0):
             raise ValueError("joint table entries must be nonnegative")
-        total = p.sum()
+        total = float(p.sum())
         if abs(total - 1.0) > _MASS_ATOL:
             raise ValueError(f"joint table mass must be 1 within 1e-12, got {total!r}")
         p.setflags(write=False)

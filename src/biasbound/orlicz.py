@@ -26,13 +26,13 @@ without a closed form goes through ``cgf.legendre_transform``.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
 from ._solve import NumericDivergence, minimize, threshold
 from .cgf import legendre_transform
-from .divergence import DiscreteJoint
+from .divergence import DiscreteJoint, _on_support
 
 __all__ = [
     "OrliczFunction",
@@ -195,29 +195,23 @@ def exp_orlicz() -> OrliczFunction:
     return OrliczFunction(fn, name="exp", conjugate_fn=conj)
 
 
-def _as_weighted(values, weights) -> Tuple[np.ndarray, np.ndarray]:
+def _as_weighted(values, weights, *paired):
+    """|values|, weights (uniform if None) and ``paired`` on positive weights."""
     v = np.abs(np.asarray(values, dtype=float).ravel())
     if v.size == 0:
         raise ValueError("empty sample")
     if np.any(np.isnan(v)):
         raise ValueError("values must not be NaN")
     if weights is None:
-        w = np.full(v.size, 1.0 / v.size)
-    else:
-        w = np.asarray(weights, dtype=float).ravel()
-        if w.shape != v.shape:
-            raise ValueError("weights must match values in length")
-        if not np.all(w >= 0):
-            raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
-    return v, w
+        weights = np.full(v.size, 1.0 / v.size)
+    w, v, *paired = _on_support(np.ravel(weights), v, *paired, what="weights")
+    return (v, w, *paired)
 
 
 def luxemburg_norm(values, psi: OrliczFunction, weights=None) -> float:
     """Luxemburg norm inf { s : E psi(|X|/s) <= 1 } of a finite distribution."""
     v, w = _as_weighted(values, weights)
-    if not np.any((v > 0) & (w > 0)):
+    if not np.any(v > 0):
         return 0.0
 
     def excess(s: float) -> float:
@@ -225,8 +219,7 @@ def luxemburg_norm(values, psi: OrliczFunction, weights=None) -> float:
         with np.errstate(invalid="ignore"):
             ratios = v / s
         ratios = np.where(np.isnan(ratios), np.inf, ratios)
-        terms = w * np.asarray(psi(ratios), dtype=float)
-        return float(np.sum(terms[w > 0]))
+        return float(np.sum(w * np.asarray(psi(ratios), dtype=float)))
 
     s = threshold(lambda s: excess(s) <= 1.0, v.max())
     if s == math.inf:
@@ -243,16 +236,15 @@ def amemiya_norm(values, psi: OrliczFunction, weights=None) -> float:
     if the objective is infinite for every t or has no minimum below s = 2**1000.
     """
     v, w = _as_weighted(values, weights)
-    if not np.any((v > 0) & (w > 0)):
+    m = float(v.max())
+    if m == 0.0:
         return 0.0
-    active = w > 0
-    m = float(v[active].max())
     if m == math.inf:
         raise NumericDivergence("Amemiya objective diverges for every t")
-    u, wa = v[active] / m, w[active]
+    u = v / m
 
     def obj(s: float) -> float:
-        return m * (1.0 + float(np.sum(wa * np.asarray(psi(s * u), dtype=float)))) / s
+        return m * (1.0 + float(np.sum(w * np.asarray(psi(s * u), dtype=float)))) / s
 
     val = minimize(obj, math.inf)
     if val == math.inf:
@@ -272,6 +264,7 @@ def orlicz_bias_bound(sigma: float, joint: DiscreteJoint,
         raise ValueError("sigma must be nonnegative")
     prod = joint.product_of_marginals()
     mask = prod > 0
+    # a product of two positive marginals can underflow to 0 at a cell with mass
     if np.any(joint.p[~mask] > 0):
         return math.inf
     ratio = joint.p[mask] / prod[mask]
@@ -288,9 +281,8 @@ def holder_check(x, y, psi: OrliczFunction, weights=None):
     y = np.abs(np.asarray(y, dtype=float).ravel())
     if x.shape != y.shape:
         raise ValueError("x and y must have the same length")
-    _, w = _as_weighted(x, weights)
+    x, w, y = _as_weighted(x, weights, y)
     lhs = float(np.sum(w * x * y))
-    rhs = luxemburg_norm(x, psi, weights) * amemiya_norm(
-        y, psi.conjugate_function(), weights)
+    rhs = luxemburg_norm(x, psi, w) * amemiya_norm(y, psi.conjugate_function(), w)
     slack = rhs - lhs
     return slack >= -1e-12 * max(1.0, abs(rhs)), slack, lhs, rhs

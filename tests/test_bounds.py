@@ -17,7 +17,8 @@ from biasbound.cgf import (SubExponential, SubGamma, SubGaussian,
 from biasbound.divergence import (DiscreteJoint, abs_power_generator,
                                   alpha_mi_cardinality_bound,
                                   alpha_mi_marginal_bound,
-                                  alpha_mutual_information)
+                                  alpha_mutual_information,
+                                  load_probability_vector)
 from biasbound.orlicz import power_orlicz, scaled_power_orlicz
 from biasbound.simulate import ArgMax, GaussianIID, frechet_mean, run_experiment
 
@@ -79,6 +80,18 @@ def test_mgf_bound_ignores_cells_never_selected():
     got = mgf_bound(envs + [SubExponential(1.0, 10.0)], [0.5, 0.5, 0.0], 2.0)
     assert got == want
     assert want == pytest.approx(2.70, abs=0.01)
+
+
+def test_mgf_bound_takes_a_loaded_probability_vector(tmp_path):
+    # one tolerance, 1e-9, for every probability vector: a p_t that the
+    # loader accepts is a valid mixture
+    path = tmp_path / "p.csv"
+    path.write_text("p\n0.5\n0.2500000005\n0.25\n")
+    p = load_probability_vector(path)
+    assert abs(p.sum() - 1.0) > 1e-12
+    envs = [SubGaussian(1.0), SubGamma(1.0, 0.5), SubGaussian(2.0)]
+    assert mgf_bound(envs, p, 1.0) == pytest.approx(
+        mgf_bound(envs, [0.5, 0.25, 0.25], 1.0), rel=1e-8)
 
 
 def test_mgf_bound_monotone():
@@ -155,6 +168,26 @@ def test_pnorm_uniform_cell_count_is_n():
         pnorm_uniform_bound([1.0, 2.0], 2.0, 3)
     assert pnorm_uniform_bound([1.0, 2.0, 3.0], 2.0, 3, p).value == pytest.approx(
         weighted_beta_norm([1.0, 2.0, 3.0], p, 2.0) * math.sqrt(2.0), rel=1e-14)
+
+
+def test_pnorm_uniform_caps_every_marginal():
+    # without p_t the cap holds over all joints on n cells, whatever their
+    # T-marginal; a uniformly weighted sigma list once fell to 0.44 of the
+    # bound that a Dirichlet marginal attains
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        n = int(rng.integers(2, 61))
+        beta = 2.0 if rng.random() < 0.5 else float(rng.uniform(2.0, 8.0))
+        sigma = rng.uniform(0.0, 10.0, n) ** 2
+        p = rng.dirichlet(np.full(n, float(rng.choice([0.05, 1.0]))))
+        if p.min() <= 0.0:
+            continue
+        attained = pnorm_bound(sigma, p, beta, alpha_mi_marginal_bound(
+            p, conjugate_exponent(beta)))
+        ub = pnorm_uniform_bound(sigma, beta, n)
+        assert ub.value >= attained * (1 - 1e-12)
+        assert ub.loose >= attained * (1 - 1e-12)
+    assert pnorm_uniform_bound([1.0, 10.0], 2.0, 2).value == 10.0
 
 
 def test_closed_form_family_bounds():
@@ -294,7 +327,7 @@ def test_nan_sigma_or_pt_raises():
         gaussian_bound([math.nan], 1.0)
     with pytest.raises(ValueError, match="sigma values must be nonnegative"):
         pnorm_bound(math.nan, None, 2.0, 1.0)
-    with pytest.raises(ValueError, match="p_t must be a probability vector"):
+    with pytest.raises(ValueError, match="p_t must be nonnegative"):
         pnorm_bound([1.0], [math.nan], 2.0, 1.0)
 
 

@@ -309,6 +309,19 @@ def test_bad_config_file_exit_2(tmp_path, capsys):
     assert "line 2: unknown key 'bogus'" in err
 
 
+def test_config_values_checked_where_used_exit_2(tmp_path, capsys):
+    # a config file bypasses the flags' choices and store_true
+    for text, message in (
+            ("family = bogus\nsigma = 1.0\ninfo = 0.5\n", "unknown family 'bogus'"),
+            ("family = pnorm\nbeta = 2\nsigma = 1\nn = 5\nuniform = maybe\n",
+             "line 5: invalid value for 'uniform': expected a boolean, got 'maybe'")):
+        p = tmp_path / "run.cfg"
+        p.write_text(text)
+        code, out, err = run_cli(capsys, ["bound", "--config", str(p)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.endswith(message + "\n")
+
+
 def test_removed_option_in_config_exit_2(tmp_path, capsys):
     p = tmp_path / "bins.cfg"
     p.write_text("bins = 7\n")
@@ -377,6 +390,9 @@ def test_bad_input_files_exit_2(tmp_path, capsys):
              "pt": "p\n0.5\nnan\n0.5\n",
              "env": "lambda,psi\n0.0,0.0\n0.5,nan\n1.0,0.5\n",
              "wide_pt": "p\n0.5,0.1\n0.5\n",
+             "pt_sum": "p\n0.5\n0.6\n",
+             "mass": ",b0,b1\nt0,0.4,0.0\nt1,0.0,0.5\n",
+             "weights_sum": "value,weight\n1.0,0.5\n2.0,0.6\n",
              "empty": ""}
     for name, text in files.items():
         (tmp_path / f"{name}.csv").write_text(text)
@@ -392,6 +408,13 @@ def test_bad_input_files_exit_2(tmp_path, capsys):
             (["bound", "--family", "gaussian", "--sigma", "1", "--I", "1",
               "--p-t", "wide_pt.csv"],
              "wide_pt.csv: line 2: row has 2 cells, header has 1"),
+            # a sum prints as a plain float, not as np.float64(...)
+            (["bound", "--family", "gaussian", "--sigma", "1", "--I", "1",
+              "--p-t", "pt_sum.csv"], "probabilities must sum to 1, got 1.1"),
+            (["estimate", "--joint", "mass.csv"],
+             "joint table mass must be 1 within 1e-12, got 0.9"),
+            (["norms", "--data", "weights_sum.csv", "--psi", "power:2"],
+             "weights must sum to 1, got 1.1"),
             (["estimate", "--joint", "empty.csv"],
              "empty.csv: line 1: expected a header line")):
         argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
@@ -661,6 +684,18 @@ def test_norms_weighted_rms(tmp_path, capsys):
     got = run_json(capsys, ["norms", "--data", str(path), "--psi", "power:2"])
     rms = math.sqrt(0.25 * 1.0 + 0.75 * 4.0)
     assert got["norms"]["luxemburg"] == pytest.approx(rms, rel=1e-9)
+
+
+def test_norms_zero_weight_value_adds_nothing(tmp_path, capsys):
+    # an infinite value at weight 0: no 0 * inf warning, and finite norms
+    path = tmp_path / "data.csv"
+    path.write_text("value,weight\ninf,0\n1.0,1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["norms", "--data", str(path),
+                                          "--psi", "power:2"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["norms"] == {"luxemburg": 1.0, "amemiya": 2.0}
 
 
 def test_norms_divergent_exit_3(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -113,6 +114,20 @@ def test_weights_and_validation():
         luxemburg_norm(np.array([]), psi)
 
 
+def test_zero_weight_cells_add_nothing():
+    # an infinite value at zero weight: no NaN from 0 * inf, no warning,
+    # and Hoelder holds on the cells that carry mass
+    psi = power_orlicz(2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert luxemburg_norm([math.inf, 1.0], psi, [0.0, 1.0]) == 1.0
+        assert amemiya_norm([math.inf, 1.0], psi, [0.0, 1.0]) == 2.0
+        assert holder_check([1.0, math.inf], [1.0, 1.0], psi,
+                            weights=[1.0, 0.0]) == (True, 0.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="weights must sum to 1, got 1.1"):
+        luxemburg_norm([1.0, 2.0], psi, [0.5, 0.6])
+
+
 def test_orlicz_function_validation():
     with pytest.raises(ValueError):
         OrliczFunction(lambda u: u * 0 + 1.0)  # psi(0) != 0
@@ -211,6 +226,14 @@ def test_orlicz_bias_bound_scales_in_sigma():
     assert orlicz_bias_bound(3.0, joint, psi) == pytest.approx(3 * one, rel=1e-9)
     with pytest.raises(ValueError):
         orlicz_bias_bound(-1.0, joint, psi)
+
+
+def test_orlicz_bias_bound_underflowed_product_is_inf():
+    # both marginals of cell (0, 0) are 1e-200, so the product measure is 0
+    # there in floats; L = 1e200 at weight 1e-400 still weighs about 1 in
+    # the conjugate norm, and leaving the cell out would give 1.4e-100
+    joint = DiscreteJoint([[1e-200, 0.0], [0.0, 1.0 - 1e-200]])
+    assert orlicz_bias_bound(1.0, joint, power_orlicz(2.0)) == math.inf
 
 
 # --- closed-form conjugates on arrays ---------------------------------------

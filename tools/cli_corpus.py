@@ -55,6 +55,11 @@ FILES = {
     "wide_pt.csv": "p\n0.5,0.1\n0.5\n",
     "short_weight.csv": "value,weight\n1.0,0.5\n2.0\n",
     "nan.cfg": "family = gaussian\nsigma = 1.0\ninfo = nan\n",
+    "pt_sum.csv": "p\n0.5\n0.6\n",
+    "zero_weight_inf.csv": "value,weight\ninf,0\n1.0,1\n",
+    "weights_sum.csv": "value,weight\n1.0,0.5\n2.0,0.6\n",
+    "bogus_family.cfg": "family = bogus\nsigma = 1.0\ninfo = 0.5\n",
+    "bad_bool.cfg": "family = pnorm\nbeta = 2\nsigma = 1\nn = 5\nuniform = maybe\n",
 }
 
 SIM = ["simulate", "--n", "6", "--trials", "400", "--seed", "3"]
@@ -105,6 +110,9 @@ CORPUS = [
     ("bound-pnorm-uniform-beta3", ["bound", "--family", "pnorm", "--beta", "3",
                                    "--sigma", "1", "--uniform", "--n", "50",
                                    "--format", "csv"]),
+    # without --p-t a sigma list is capped by its largest value
+    ("bound-pnorm-uniform-sigma-list", ["bound", "--family", "pnorm", "--beta", "2",
+                                        "--sigma", "1,10", "--uniform", "--n", "2"]),
     ("bound-config", ["bound", "--config", "{tmp}/bound.cfg"]),
     ("bound-config-override", ["bound", "--config", "{tmp}/bound.cfg", "--I", "2.0"]),
     ("bound-err-no-family", ["bound", "--sigma", "1"]),
@@ -143,6 +151,10 @@ CORPUS = [
                                 "--envelope", "{tmp}/nan_env.csv"]),
     ("bound-err-wide-pt", ["bound", "--family", "gaussian", "--sigma", "1", "--I", "1",
                            "--p-t", "{tmp}/wide_pt.csv"]),
+    ("bound-err-pt-sum", ["bound", "--family", "gaussian", "--sigma", "1", "--I", "1",
+                          "--p-t", "{tmp}/pt_sum.csv"]),
+    ("bound-err-config-family", ["bound", "--config", "{tmp}/bogus_family.cfg"]),
+    ("bound-err-config-bool", ["bound", "--config", "{tmp}/bad_bool.cfg"]),
     ("bound-err-nan-config", ["bound", "--config", "{tmp}/nan.cfg"]),
     ("bound-err-subgamma-c", ["bound", "--family", "subgamma", "--sigma2", "1", "--c", "-1",
                               "--I", "1"]),
@@ -241,12 +253,17 @@ CORPUS += [
     ("norms-exp", ["norms", "--data", "{tmp}/data.csv", "--psi", "exp"]),
     ("norms-power-1e30", ["norms", "--data", "{tmp}/data_1e30.csv", "--psi", "power:2"]),
     ("norms-tiny-weight", ["norms", "--data", "{tmp}/tiny_weight.csv", "--psi", "power:2"]),
+    # a value of zero weight adds nothing, even an infinite one
+    ("norms-zero-weight-inf", ["norms", "--data", "{tmp}/zero_weight_inf.csv",
+                               "--psi", "power:2"]),
     ("norms-err-divergent", ["norms", "--data", "{tmp}/divergent.csv", "--psi", "exp"]),
     ("norms-err-nan", ["norms", "--data", "{tmp}/nan.csv", "--psi", "power:2"]),
     ("norms-err-bad-data", ["norms", "--data", "{tmp}/bad_data.csv", "--psi", "power:2"]),
     ("norms-err-psi", ["norms", "--data", "{tmp}/data.csv", "--psi", "huh"]),
     ("norms-err-short-row", ["norms", "--data", "{tmp}/short_weight.csv",
                              "--psi", "power:2"]),
+    ("norms-err-weights-sum", ["norms", "--data", "{tmp}/weights_sum.csv",
+                               "--psi", "power:2"]),
 ]
 
 
