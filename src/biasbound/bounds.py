@@ -59,6 +59,8 @@ def weighted_beta_norm(sigmas, p_t=None, beta: float = 2.0) -> float:
     if not beta >= 1:
         raise ValueError("beta must be >= 1")
     s = np.atleast_1d(np.asarray(sigmas, dtype=float))
+    if s.size == 0:
+        raise ValueError("sigma needs at least one value")
     if not np.all(s >= 0):
         raise ValueError("sigma values must be nonnegative")
     if p_t is None:

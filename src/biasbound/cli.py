@@ -92,6 +92,7 @@ _RULES = {name: (rule, next((f.default for f in fields(rule)), None))
                              ("softmax", sim.SoftMax))}
 _PSIS = {"power": (orz.power_orlicz, 2.0), "scaled": (orz.scaled_power_orlicz, 2.0),
          "exp": (orz.exp_orlicz, None)}
+_FAMILIES = ("gaussian", "subgamma", "subexponential", "pnorm", "tabulated")  # --family names
 
 
 def _parse_spec(spec: str, table, what: str, wrap_errors: bool = False):
@@ -148,16 +149,20 @@ def _one(cfg: RunConfig, name: str) -> float:
 
 def _dependence(cfg: RunConfig, uses: str, alpha: float):
     """(I, I_alpha at order alpha) from --I and --i-alpha, or both from --joint when
-    ``uses``, the one the family reads, is missing; an MGF family ignores --i-alpha."""
+    ``uses``, the one the family reads, is missing; an MGF family refuses --i-alpha."""
+    if uses == "info" and cfg.i_alpha is not None:
+        raise ConfigError("option 'i_alpha' is read only by the pnorm family")
     if getattr(cfg, uses) is None and cfg.joint:
         joint = dv.DiscreteJoint.from_csv(cfg.joint)
         return dv.mutual_information(joint), dv.alpha_mutual_information(joint, alpha)
-    return cfg.info, cfg.i_alpha if uses == "i_alpha" else None
+    return cfg.info, cfg.i_alpha
 
 
 def cmd_bound(cfg: RunConfig) -> bnd.BoundReport:
     _require(cfg, "family")
     family = cfg.family
+    if family not in _FAMILIES:  # a config file can name any family
+        raise ConfigError(f"unknown family {family!r}")
     report = bnd.BoundReport(meta={"command": "bound", "family": family, "seed": cfg.seed})
     p_t = dv.load_probability_vector(cfg.p_t) if cfg.p_t else None
     uses, alpha = "info", 2.0  # an MGF family reads I; --joint also reports I_2
@@ -206,8 +211,6 @@ def cmd_bound(cfg: RunConfig) -> bnd.BoundReport:
         _require(cfg, "envelope")
         env = Tabulated.from_csv(cfg.envelope)
         report.add_bound("mgf_tabulated", env.inverse_conjugate(i_val), side="upper")
-    else:  # a config file can name any family
-        raise ConfigError(f"unknown family {family!r}")
     return report
 
 
@@ -331,8 +334,7 @@ class RunConfig:
     seed: Optional[int] = _option(_INT, _ALL, default=0)
     out: Optional[str] = _option(_STR, _ALL, help="output path (default: stdout)")
     format: Optional[str] = _option(_STR, _ALL, choices=["json", "csv"])
-    family: Optional[str] = _option(_STR, ("bound",), choices=[
-        "gaussian", "subgamma", "subexponential", "pnorm", "tabulated"])
+    family: Optional[str] = _option(_STR, ("bound",), choices=list(_FAMILIES))
     sigma: Optional[List[float]] = _option(_FLOATS, _TAIL,
                                            help="sigma value or comma-separated list")
     sigma2: Optional[float] = _option(_FLOAT, ("bound",))

@@ -9,8 +9,9 @@ random choice.  Philox is counter-based, so trial t owns blocks t*B + 1 ..
 t*B + B of the one stream keyed [seed, 0], and results are bit-identical
 for any ``workers`` value and any subset of trials.  Consecutive trials lie
 end to end in that stream, so a tile of trials is one generator call; rules
-and models act on whole tiles, row by row, and sums over trials are added
-in trial order.  Sweep rows with different n read a prefix of the same
+and models act on whole tiles, row by row.  Softmax's per-trial dependence
+terms are summed in trial order within each chunk of 1024 trials, then
+chunk by chunk.  Sweep rows with different n read a prefix of the same
 stream, as they did under the earlier per-trial key [seed, t], so they are
 not independent of each other.
 
@@ -75,7 +76,7 @@ __all__ = [
     "SWEEP_CSV_HEADER",
 ]
 
-_CHUNK = 1024  # fixed trial-chunk size: partial sums combine in chunk order
+_CHUNK = 1024  # trials per chunk: a thread's unit of work, and softmax's unit of summing
 _TILE = 8192  # doubles per tile (64 KiB); a tile has max(1, _TILE // 4B) trials
 
 
@@ -267,8 +268,9 @@ class HeavyTailIID:
 # equally likely cells given the data, or None when there is no closed form;
 # only then does the rule give conditional_probs(v), the (rows, n) matrix of
 # P(T = i | row), which the engine computes once per tile and passes to select
-# as q.  ``extreme`` rules pick the largest or smallest coordinate, so
-# expected-max baselines apply.
+# as q.  A rule with a law depends only on the coordinates' order and gets
+# the uniforms as v; one without gets the model's values.  ``extreme`` rules
+# pick the largest or smallest coordinate, so expected-max baselines apply.
 
 def _alpha_key(alpha: float) -> str:
     """The label of I_alpha: ``:g`` where that reads back as alpha, else repr."""
@@ -279,7 +281,6 @@ def _alpha_key(alpha: float) -> str:
 @dataclass(frozen=True)
 class ArgMax:
     deterministic = True
-    needs_values = False
     extreme = True
     label = "argmax"
 
@@ -293,7 +294,6 @@ class ArgMax:
 @dataclass(frozen=True)
 class ArgMin:
     deterministic = True
-    needs_values = False
     extreme = True
     label = "argmin"
 
@@ -308,7 +308,6 @@ class ArgMin:
 class FixedIndex:
     index: int = 0
     deterministic = True
-    needs_values = False
     extreme = False
 
     def __post_init__(self):
@@ -334,7 +333,6 @@ class TopKUniform:
 
     k: int = 2
     deterministic = False
-    needs_values = False
     extreme = False
 
     def __post_init__(self):
@@ -382,7 +380,6 @@ class SoftMax:
 
     temperature: float = 1.0
     deterministic = False
-    needs_values = True
     extreme = False
 
     def __post_init__(self):
@@ -459,8 +456,8 @@ def run_experiment(model, rule, trials: int, seed: int = 0, *,
         raise ValueError("alpha must be >= 1")
     law = rule.law(n)
 
-    t_idx, u_sel, sums = _main_pass(model, rule, trials, seed, workers,
-                                    None if law is not None else alphas)
+    t_idx, u_sel, terms = _main_pass(model, rule, trials, seed, int(workers),
+                                     None if law is not None else alphas)
 
     phi_sel = np.asarray(model.inverse_cdf(u_sel), dtype=float)
     deviations = phi_sel - model.mean
@@ -475,27 +472,21 @@ def run_experiment(model, rule, trials: int, seed: int = 0, *,
     if law is not None:  # L = m/k with probability k/m, else 0
         k, m = law
         i = math.log(m / k)
-        i_alpha = {_alpha_key(a): _two_point_alpha(k, m, a) for a in alphas}
+        values = [_two_point_alpha(k, m, a) for a in alphas]
         estimator = "analytic"
     else:
+        # in trial order within each chunk, then chunk by chunk: a flat sum
+        # would round differently past 1024 trials and change reports
+        sums = sum(np.cumsum(terms[lo:lo + _CHUNK], axis=0)[-1]
+                   for lo in range(0, trials, _CHUNK))
         i = max(0.0, math.log(n) + float(sums[0]) / trials)
-        i_alpha = {_alpha_key(a): float(sums[1 + j]) / (n * trials)
-                   for j, a in enumerate(alphas)}
+        values = [float(s) / (n * trials) for s in sums[1:]]
         estimator = "rule_conditional"
 
     return ExperimentResult(
         trials=trials, seed=seed, selected_mean=selected_mean, bias=bias,
         stderr=stderr, t_counts=np.bincount(t_idx, minlength=n), i=i,
-        i_alpha=i_alpha, estimator=estimator)
-
-
-def _run_chunks(chunk_fn, trials: int, workers: int):
-    ranges = [(lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)]
-    if int(workers) <= 1:
-        return [chunk_fn(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-        futures = [pool.submit(chunk_fn, lo, hi) for lo, hi in ranges]
-        return [f.result() for f in futures]  # combined in chunk order
+        i_alpha=dict(zip(map(_alpha_key, alphas), values)), estimator=estimator)
 
 
 def _tiles(seed: int, lo: int, hi: int, n: int, extra: bool):
@@ -528,31 +519,27 @@ def _tiles(seed: int, lo: int, hi: int, n: int, extra: bool):
         yield start, buf[:m, :n], buf[:m, n] if extra else None
 
 
-def _in_order_sum(acc, rows):
-    """acc + rows[0] + rows[1] + ..., added one row at a time in order."""
-    return np.cumsum(np.concatenate([acc[None], rows]), axis=0)[-1]
-
-
 def _main_pass(model, rule, trials, seed, workers, alphas=None):
-    """Per trial: the selected index and its uniform.
+    """Per trial: the selected index, its uniform and, given ``alphas`` (a
+    rule without a closed-form dependence), its dependence terms; else None.
 
-    Given ``alphas`` (a rule without a closed-form dependence), also the
-    dependence sums over trials of q_t = P(T | trial t), the rule's
-    conditional_probs: [sum_t sum_i q_ti ln q_ti] then, per alpha,
-    sum_t sum_i |n q_ti - 1|^alpha; else None.  Each trial's row is summed
-    pairwise and the rows are added in trial order.
+    Row t of the (trials, 1 + len(alphas)) terms, each summed pairwise, is
+    sum_i q_ti ln q_ti then, per alpha, sum_i |n q_ti - 1|^alpha, with q_t =
+    P(T | trial t) from conditional_probs.  ``run_experiment`` adds the rows
+    in trial order within each chunk of 1024 trials, then chunk by chunk.
     """
     n = model.n
     t_idx = np.empty(trials, dtype=np.int64)
     u_sel = np.empty(trials, dtype=float)
     conditional = alphas is not None
+    terms = np.empty((trials, 1 + len(alphas))) if conditional else None
 
-    def chunk(lo: int, hi: int):
-        acc = np.zeros(1 + len(alphas)) if conditional else None
+    def chunk(lo: int):
+        hi = min(lo + _CHUNK, trials)
         # |L - 1|^alpha may overflow: that I_alpha is +inf, reported as null
         with np.errstate(over="ignore"):
             for start, u, r in _tiles(seed, lo, hi, n, not rule.deterministic):
-                v = model.inverse_cdf(u) if rule.needs_values else u
+                v = model.inverse_cdf(u) if conditional else u
                 q = rule.conditional_probs(v) if conditional else None
                 k = rule.select(v, r, q)
                 rows = slice(start, start + len(u))
@@ -560,15 +547,17 @@ def _main_pass(model, rule, trials, seed, workers, alphas=None):
                 u_sel[rows] = u[np.arange(len(u)), k]
                 if conditional:
                     dev = np.abs(n * q - 1.0)  # |L - 1|, L = q_ti / (1/n)
-                    sums = np.empty((len(u), 1 + len(alphas)))
-                    sums[:, 0] = xlogx(q).sum(axis=1)
+                    terms[rows, 0] = xlogx(q).sum(axis=1)
                     for j, a in enumerate(alphas):
-                        sums[:, 1 + j] = (dev ** a).sum(axis=1)
-                    acc = _in_order_sum(acc, sums)
-        return acc
+                        terms[rows, 1 + j] = (dev ** a).sum(axis=1)
 
-    chunks = _run_chunks(chunk, trials, workers)  # summed in chunk order
-    return t_idx, u_sel, sum(chunks) if conditional else None
+    starts = range(0, trials, _CHUNK)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(chunk, starts))  # re-raises a chunk's error
+    else:  # inline: a pool's start-up and fresh thread only slow one worker
+        list(map(chunk, starts))
+    return t_idx, u_sel, terms
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ from biasbound.cgf import (SubExponential, SubGamma, SubGaussian,
 from biasbound.divergence import (DiscreteJoint, abs_power_generator,
                                   alpha_mi_cardinality_bound,
                                   alpha_mi_marginal_bound,
-                                  alpha_mutual_information,
-                                  load_probability_vector)
-from biasbound.orlicz import power_orlicz, scaled_power_orlicz
+                                  alpha_mutual_information, kl_generator,
+                                  load_probability_vector, phi_divergence)
+from biasbound.orlicz import (NumericDivergence, OrliczFunction, amemiya_norm,
+                              holder_check, power_orlicz, scaled_power_orlicz)
 from biasbound.simulate import ArgMax, GaussianIID, frechet_mean, run_experiment
 
 
@@ -361,4 +362,36 @@ NAN = math.nan
 def test_nan_order_parameter_raises(call, message):
     # a NaN order or scale fails the check instead of returning nan
     with pytest.raises(ValueError, match=message):
+        call()
+
+
+BOUNDED = OrliczFunction(lambda u: np.minimum(u, 1.0), validate=False)
+INFINITE = OrliczFunction(lambda u: np.where(u > 0, np.inf, 0.0), validate=False)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: weighted_beta_norm([]), ValueError, "sigma needs at least one value"),
+    (lambda: gaussian_bound([], 1.0), ValueError, "sigma needs at least one value"),
+    (lambda: pnorm_bound([], None, 2, 1), ValueError, "sigma needs at least one value"),
+    (lambda: weighted_beta_norm([1.0, 2.0, 3.0], [0.5, 0.5]), ValueError,
+     "p_t must have one entry per value"),
+    (lambda: pnorm_uniform_bound(1.0, 2.0, 0), ValueError, "n must be >= 1"),
+    (lambda: max_inequality_cgf_bound([SubGaussian(1.0)], 0), ValueError, "n must be >= 1"),
+    (lambda: max_inequality_orlicz_bound(1.0, power_orlicz(2.0), 0), ValueError,
+     "n must be >= 1"),
+    (lambda: alpha_mi_marginal_bound([[0.5, 0.5]], 2.0), ValueError,
+     "expected a 1-D probability vector"),
+    (lambda: phi_divergence([0.5, 0.5], [1.0], kl_generator()), ValueError,
+     "p and q must have the same shape"),
+    (lambda: holder_check([1.0, 2.0], [1.0], power_orlicz(2.0)), ValueError,
+     "x and y must have the same length"),
+    (lambda: BOUNDED.inverse(2.0), NumericDivergence, "psi never reaches"),
+    (lambda: amemiya_norm([1.0, 2.0], INFINITE), NumericDivergence,
+     "diverges for every t"),
+], ids=["weighted_beta_norm-empty", "gaussian_bound-empty", "pnorm_bound-empty",
+        "weighted_beta_norm-lengths", "pnorm_uniform_bound-n", "max_inequality_cgf_bound-n",
+        "max_inequality_orlicz_bound-n", "alpha_mi_marginal_bound-2d", "phi_divergence-shapes",
+        "holder_check-lengths", "orlicz-inverse-bounded", "amemiya_norm-infinite"])
+def test_empty_mismatched_or_unreachable_input_raises(call, error, message):
+    with pytest.raises(error, match=message):
         call()

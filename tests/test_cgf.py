@@ -254,6 +254,12 @@ def test_domain_and_argument_errors():
         SubGamma(1.0, -1.0)
     with pytest.raises(ValueError):
         SubExponential(-1.0, 1.0)
+    with pytest.raises(ValueError, match="b must be positive"):
+        SubExponential(1.0, 0.0)
+    with pytest.raises(ValueError, match="sigma2 must be positive"):
+        SubGamma(0.0, 1.0)
+    with pytest.raises(ValueError, match="sigma and b must be positive"):
+        subexponential_piecewise_bound(1.0, 0.0, 1.0)
     assert SubExponential(1.0, 2.0).evaluate(0.6) == math.inf
     assert SubGamma(1.0, 2.0).evaluate(0.5) == math.inf
 
@@ -295,6 +301,8 @@ def test_tabulated_validation():
         Tabulated([0.0, 1.0, 2.0], [0.0, 1.0, 0.5])  # decreasing
     with pytest.raises(ValueError):
         Tabulated([0.0, 1.0], [0.0, 1.0])  # slope 1 at the origin
+    with pytest.raises(ValueError, match=">= 2 points"):
+        Tabulated([0.0], [0.0])
     for psis in ([0.0, math.nan, 1.0], [math.nan, 0.5, 1.0], [0.0, 0.5, math.nan]):
         with pytest.raises(ValueError):
             Tabulated([0.0, 1.0, 2.0], psis)

@@ -299,6 +299,11 @@ def test_bound_missing_options_exit_2(tmp_path, capsys):
                                       "--sigma", "1,50", "--b", "1", "--I", "1"])
     assert (code, out) == (2, "")
     assert err == "error: option 'sigma' takes one value here, got 2\n"
+    # an MGF family reads I only: an I_alpha it would drop is refused
+    code, out, err = run_cli(capsys, ["bound", "--family", "gaussian", "--sigma", "1",
+                                      "--I", "1", "--i-alpha", "0.7"])
+    assert (code, out) == (2, "")
+    assert err == "error: option 'i_alpha' is read only by the pnorm family\n"
 
 
 def test_bad_config_file_exit_2(tmp_path, capsys):
@@ -313,6 +318,9 @@ def test_config_values_checked_where_used_exit_2(tmp_path, capsys):
     # a config file bypasses the flags' choices and store_true
     for text, message in (
             ("family = bogus\nsigma = 1.0\ninfo = 0.5\n", "unknown family 'bogus'"),
+            # named before any option the family would need or refuse
+            ("family = bogus\n", "unknown family 'bogus'"),
+            ("family = bogus\ninfo = 0.5\ni_alpha = 1\n", "unknown family 'bogus'"),
             ("family = pnorm\nbeta = 2\nsigma = 1\nn = 5\nuniform = maybe\n",
              "line 5: invalid value for 'uniform': expected a boolean, got 'maybe'")):
         p = tmp_path / "run.cfg"

@@ -177,6 +177,8 @@ def test_alpha_mi_cardinality_bound():
         alpha_mi_cardinality_bound(5, 2.5)
     with pytest.raises(ValueError):
         alpha_mi_cardinality_bound(5, 0.9)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        alpha_mi_cardinality_bound(0, 1.5)
 
 
 def test_two_point_alpha_within_5_ulps_of_mpmath():
@@ -247,6 +249,8 @@ def test_joint_validation():
         DiscreteJoint([[0.5, math.nan], [0.0, 0.5]])  # NaN: its mass test passes
     with pytest.raises(ValueError):
         DiscreteJoint([0.5, 0.5])  # 1-D
+    with pytest.raises(ValueError, match="label lengths"):
+        DiscreteJoint([[0.5, 0.5]], row_labels=["a", "b"])
     j = DiscreteJoint([[0.25, 0.25], [0.25, 0.25]])
     assert np.allclose(j.p_rows, [0.5, 0.5])
     with pytest.raises(ValueError):

@@ -139,6 +139,12 @@ def test_orlicz_function_validation():
         power_orlicz(0.5)
     with pytest.raises(ValueError):
         scaled_power_orlicz(1.0)
+    with pytest.raises(ValueError, match="psi must be nonnegative"):
+        OrliczFunction(lambda u: -u)
+    # convex, but decreasing below u = 5e-9 and infinite past the first grid
+    # point 1e-8, so only the dense pass sees it fall below psi(0)
+    with pytest.raises(ValueError, match="psi must be nondecreasing"):
+        OrliczFunction(lambda u: np.where(u <= 1.5e-8, 1e9 * u * (u - 5e-9), np.inf))
 
 
 def test_conjugate_closed_vs_numeric():

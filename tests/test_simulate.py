@@ -73,6 +73,8 @@ def test_model_validation():
         HeavyTailIID(beta=3.0, x0=1.0)  # x0 <= e^(1/3)
     with pytest.raises(ValueError):
         GaussianIID(n=0)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        ExponentialIID(n=0)
 
 
 def test_heavy_tail_cdf_quantile_inverse_pair():
@@ -472,6 +474,10 @@ def test_run_experiment_errors():
         SoftMax(0.0)
     with pytest.raises(ValueError):
         TopKUniform(0)
+    with pytest.raises(ValueError, match="index must be nonnegative"):
+        FixedIndex(-1)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_experiment(model, ArgMax(), trials=10, seed=1, workers=0)
 
 
 def test_tie_breaking_lowest_index():
@@ -601,23 +607,19 @@ def reference_rule(rule, v, rng):
 def reference_main_pass(model, rule, trials, seed, workers, alphas=None):
     n = model.n
     t_idx, u_sel = np.empty(trials, np.int64), np.empty(trials)
-    width = 1 + len(alphas) if alphas is not None else 0
-    totals = np.zeros(width)
-    for lo in range(0, trials, 1024):  # per-chunk sums, added in chunk order
-        acc = np.zeros(width)
-        for t in range(lo, min(lo + 1024, trials)):
-            rng = trial_rng(seed, t, n, not rule.deterministic)
-            u = rng.random(n)
-            v = model.inverse_cdf(u) if rule.needs_values else u
-            t_idx[t], q = reference_rule(rule, v, rng)
-            assert (alphas is not None) == (q is not None)
-            u_sel[t] = u[t_idx[t]]
-            if q is not None:  # against the exact uniform marginal 1/n
-                acc[0] += float(np.sum(special.xlogy(q, q)))
-                for j, a in enumerate(alphas):
-                    acc[1 + j] += float(np.sum(np.abs(n * q - 1.0) ** a))
-        totals += acc
-    return t_idx, u_sel, totals if alphas is not None else None
+    terms = np.empty((trials, 1 + len(alphas))) if alphas is not None else None
+    for t in range(trials):
+        rng = trial_rng(seed, t, n, not rule.deterministic)
+        u = rng.random(n)
+        v = model.inverse_cdf(u) if alphas is not None else u
+        t_idx[t], q = reference_rule(rule, v, rng)
+        assert (alphas is not None) == (q is not None)
+        u_sel[t] = u[t_idx[t]]
+        if q is not None:  # against the exact uniform marginal 1/n
+            terms[t, 0] = np.sum(special.xlogy(q, q))
+            for j, a in enumerate(alphas):
+                terms[t, 1 + j] = np.sum(np.abs(n * q - 1.0) ** a)
+    return t_idx, u_sel, terms
 
 
 def reference_experiment(monkeypatch, *args, **kwargs):
@@ -695,7 +697,7 @@ def test_trial_stream_is_keyed_philox_and_any_subset_agrees():
     model, rule = HeavyTailIID(n=30), SoftMax(0.5)
     short = simulate._main_pass(model, rule, 700, 9, 1, (2.0,))
     long = simulate._main_pass(model, rule, 2100, 9, 3, (2.0,))
-    for a, b in zip(short[:2], long[:2]):
+    for a, b in zip(short, long):
         assert np.array_equal(a, b[:700])
     # every 64-bit seed is its own key: 2**64 - 1 is not seed 0
     assert run_experiment(model, rule, 50, 2 ** 64 - 1).bias != \

@@ -160,6 +160,9 @@ CORPUS = [
                               "--I", "1"]),
     ("bound-err-subexponential-b", ["bound", "--family", "subexponential", "--sigma", "1",
                                     "--b", "0", "--I", "1"]),
+    # an MGF family reads I only, so an I_alpha is refused, not dropped
+    ("bound-err-i-alpha-mgf", ["bound", "--family", "gaussian", "--sigma", "1", "--I", "1",
+                               "--i-alpha", "0.7"]),
 ]
 
 for model in ("gaussian", "exponential", "heavytail"):
@@ -218,6 +221,7 @@ CORPUS += [
     ("simulate-err-rule", ["simulate", "--rule", "bogus"]),
     ("simulate-err-fixed-range", ["simulate", "--rule", "fixed:99", "--n", "4"]),
     ("simulate-err-topk-zero", ["simulate", "--rule", "topk:0"]),
+    ("simulate-err-workers-zero", ["simulate", "--workers", "0"]),
     ("simulate-err-model-param", ["simulate", "--model", "heavytail", "--beta", "0.9"]),
     ("simulate-err-config-bins", ["simulate", "--config", "{tmp}/bins.cfg"]),
     ("simulate-err-sigma-list", ["simulate", "--model", "gaussian", "--sigma", "1,50"]),
@@ -265,6 +269,13 @@ CORPUS += [
     ("norms-err-weights-sum", ["norms", "--data", "{tmp}/weights_sum.csv",
                                "--psi", "power:2"]),
 ]
+
+# one chunk (1024 trials) and one trial past it, on one thread and on two
+for trials in ("1024", "1025"):
+    for workers in ("1", "2"):
+        CORPUS.append((f"simulate-softmax-trials{trials}-workers{workers}",
+                       ["simulate", "--model", "gaussian", "--rule", "softmax:0.5", "--n", "9",
+                        "--trials", trials, "--seed", "11", "--workers", workers]))
 
 
 def _digest(text: str, tmp: str, src: str) -> str:
