@@ -171,6 +171,9 @@ def cmd_bound(cfg: RunConfig) -> bnd.BoundReport:
         uses, alpha = "i_alpha", bnd.conjugate_exponent(cfg.beta)
         report.meta.update(beta=cfg.beta, alpha=alpha)
         if cfg.uniform:
+            for name in ("info", "i_alpha", "joint"):  # a cap over every joint reads none
+                if getattr(cfg, name) is not None:
+                    raise ConfigError(f"option {name!r} is not read by the uniform pnorm bound")
             _require(cfg, "n")
             ub = bnd.pnorm_uniform_bound(cfg.sigma, cfg.beta, cfg.n, p_t)
             report.meta["n"] = cfg.n

@@ -2,18 +2,18 @@
 
 Each trial t draws n i.i.d. coordinates from a measurement model via the
 inverse-CDF transform of uniforms, applies a selection rule to pick an index
-T, and records phi_T.  Seed contract: trial t's uniforms are the first n
-doubles of Generator(Philox(key=[seed, 0], counter=t*B)), B = ceil((n +
-extra) / 4); top-k and softmax (extra = 1) take the next double for their
-random choice.  Philox is counter-based, so trial t owns blocks t*B + 1 ..
-t*B + B of the one stream keyed [seed, 0], and results are bit-identical
-for any ``workers`` value and any subset of trials.  Consecutive trials lie
-end to end in that stream, so a tile of trials is one generator call; rules
-and models act on whole tiles, row by row.  Softmax's per-trial dependence
-terms are summed in trial order within each chunk of 1024 trials, then
-chunk by chunk.  Sweep rows with different n read a prefix of the same
-stream, as they did under the earlier per-trial key [seed, t], so they are
-not independent of each other.
+T, and records phi_T.  Seed contract: trial t's uniforms are draws t*W ..
+t*W + n - 1 of Generator(PCG64DXSM(seed)), W = n + extra; top-k and softmax
+(extra = 1) take draw t*W + n for their random choice.  PCG64DXSM jumps
+ahead any k draws exactly, in O(log k) steps (O'Neill, HMC-CS-2014-0905), so
+a chunk of trials starts at its first draw directly, and results are
+bit-identical for any ``workers`` value and any subset of trials.
+Consecutive trials lie end to end in the stream, so a tile of trials is one
+generator call; rules and models act on whole tiles, row by row.  Softmax's
+per-trial dependence terms are summed in trial order within each chunk of
+1024 trials, then chunk by chunk.  Sweep rows with different n read the one
+stream at different per-trial offsets (W grows with n), so their draws
+overlap and the rows are not independent of each other.
 
 Rules that depend only on the ordering of coordinates (argmax, argmin,
 fixed, top-k) are applied to the uniforms directly: a strictly increasing
@@ -77,7 +77,7 @@ __all__ = [
 ]
 
 _CHUNK = 1024  # trials per chunk: a thread's unit of work, and softmax's unit of summing
-_TILE = 8192  # doubles per tile (64 KiB); a tile has max(1, _TILE // 4B) trials
+_TILE = 8192  # doubles per tile (64 KiB); a tile has max(1, _TILE // W) trials
 
 
 # ---------------------------------------------------------------------------
@@ -490,31 +490,25 @@ def run_experiment(model, rule, trials: int, seed: int = 0, *,
 
 
 def _tiles(seed: int, lo: int, hi: int, n: int, extra: bool):
-    """Yield (start, u, r) for trials lo..hi-1 of one chunk: row i of u is the
-    first n doubles of Generator(Philox(key=[seed, 0], counter=(start + i) * B))
-    and r[i] its next double when ``extra`` (else r is None).
+    """Yield (start, u, r) for trials lo..hi-1 of one chunk: row i of u is
+    draws (start + i)*W .. (start + i)*W + n - 1 of Generator(PCG64DXSM(seed)),
+    W = n + extra, and r[i] its next draw when ``extra`` (else r is None).
 
-    Philox adds one to its 256-bit counter before each block of four doubles,
-    so trial t owns blocks t*B + 1 .. t*B + B, B = ceil((n + extra) / 4), and
-    consecutive trials lie end to end in the one stream keyed [seed, 0].  A
-    tile of rows = max(1, _TILE // 4B) trials is therefore one state
-    assignment (counter start*B as 64-bit words, the carry in word 1) and one
-    ``random`` call into a (rows, 4B) buffer.  The buffer is reused, so a tile
-    is valid until the next one is yielded.  The stream does not depend on n,
-    so runs at different n with one seed (the rows of a sweep) share it.
+    One double is one draw, and ``advance`` skips any number of draws
+    exactly, so the chunk builds the generator once and advances it to draw
+    lo*W; from there its trials lie end to end, and a tile of rows =
+    max(1, _TILE // W) trials is one ``random`` call into a (rows, W)
+    buffer.  The buffer is reused, so a tile is valid until the next one is
+    yielded.
     """
-    width = -(-(n + extra) // 4) * 4  # 4B doubles per trial
-    bitgen = np.random.Philox(key=0)
+    width = n + extra
+    bitgen = np.random.PCG64DXSM(seed)
+    bitgen.advance(lo * width)
     gen = np.random.Generator(bitgen)
-    state = {"bit_generator": "Philox", "state": {"key": (seed, 0)},
-             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     rows = max(1, _TILE // width)
     buf = np.empty((rows, width))
     for start in range(lo, hi, rows):
         m = min(rows, hi - start)
-        high, low = divmod(start * (width // 4), 2 ** 64)
-        state["state"]["counter"] = (low, high, 0, 0)
-        bitgen.state = state  # empty buffer: the next block is counter + 1
         gen.random(out=buf[:m])
         yield start, buf[:m, :n], buf[:m, n] if extra else None
 

@@ -304,6 +304,15 @@ def test_bound_missing_options_exit_2(tmp_path, capsys):
                                       "--I", "1", "--i-alpha", "0.7"])
     assert (code, out) == (2, "")
     assert err == "error: option 'i_alpha' is read only by the pnorm family\n"
+    # the uniform cap holds over every joint, so a dependence it would drop
+    # is refused, and the --joint file is never opened
+    uniform = ["bound", "--family", "pnorm", "--beta", "2", "--sigma", "1", "--uniform",
+               "--n", "5"]
+    for name, extra in (("info", ["--I", "1"]), ("i_alpha", ["--i-alpha", "0.7"]),
+                        ("joint", ["--joint", missing])):
+        code, out, err = run_cli(capsys, uniform + extra)
+        assert (code, out) == (2, "")
+        assert err == f"error: option '{name}' is not read by the uniform pnorm bound\n"
 
 
 def test_bad_config_file_exit_2(tmp_path, capsys):

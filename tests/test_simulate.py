@@ -573,16 +573,12 @@ def test_sweep_csv_byte_identical_across_workers():
 # ---------------------------------------------------------------------------
 # stream contract: the tile engine against the per-trial loop it replaced
 
-def blocks(n, extra):
-    """B, the Philox blocks of four doubles each trial owns."""
-    return -(-(n + extra) // 4)
-
-
 def trial_rng(seed, t, n, extra):
-    """Trial t's stream: Philox with key [seed, 0] (two 64-bit words) and
-    counter t*B; its first n + extra doubles are the trial's."""
-    return np.random.Generator(np.random.Philox(
-        key=np.array([seed, 0], dtype=np.uint64), counter=t * blocks(n, extra)))
+    """Trial t's stream: PCG64DXSM seeded with seed, advanced by t*W draws,
+    W = n + extra; its first n + extra doubles are the trial's."""
+    bitgen = np.random.PCG64DXSM(seed)
+    bitgen.advance(t * (n + extra))
+    return np.random.Generator(bitgen)
 
 
 def reference_rule(rule, v, rng):
@@ -673,8 +669,7 @@ def assert_tiles_follow_contract(seed, lo, hi, n, extra):
     starts = []
     for start, u, r in simulate._tiles(seed, lo, hi, n, extra):
         starts.append(start)
-        width = 4 * blocks(n, extra)
-        assert u.shape == (min(max(1, simulate._TILE // width), hi - start), n)
+        assert u.shape == (min(max(1, simulate._TILE // (n + extra)), hi - start), n)
         for i, row in enumerate(u):
             rng = trial_rng(seed, start + i, n, extra)
             assert np.array_equal(row, rng.random(n))
@@ -685,10 +680,9 @@ def assert_tiles_follow_contract(seed, lo, hi, n, extra):
     assert starts[0] == lo and starts[-1] + len(u) == hi
 
 
-def test_trial_stream_is_keyed_philox_and_any_subset_agrees():
+def test_trial_stream_is_one_advanced_pcg64dxsm_and_any_subset_agrees():
     seed = 2 ** 64 - 1
-    # n = 300 and 8 fill whole blocks, so the extra double takes one more;
-    # n = 7 is padded to 8 with or without it
+    # unpadded widths n + extra of 300, 301, 7, 8 and 9, odd and even
     for n in (300, 7, 8):
         for lo, hi in [(0, 1024), (1000, 1024), (2048, 2050)]:
             for extra in (False, True):
@@ -699,28 +693,29 @@ def test_trial_stream_is_keyed_philox_and_any_subset_agrees():
     long = simulate._main_pass(model, rule, 2100, 9, 3, (2.0,))
     for a, b in zip(short, long):
         assert np.array_equal(a, b[:700])
-    # every 64-bit seed is its own key: 2**64 - 1 is not seed 0
+    # every 64-bit seed is its own stream: 2**64 - 1 is not seed 0
     assert run_experiment(model, rule, 50, 2 ** 64 - 1).bias != \
         run_experiment(model, rule, 50, 0).bias
 
 
-def test_trial_counter_carries_into_the_second_word():
-    # lo * B >= 2**64: the tile's first counter needs word 1, and a tile
-    # that starts just below 2**64 carries inside the generator
-    for n, extra in [(9, True), (4, False), (1, True)]:
-        b = blocks(n, extra)
-        lo = -(-2 ** 64 // b)
-        assert lo * b >= 2 ** 64
+def test_trial_offset_past_two_to_the_64():
+    # lo * W >= 2**64: the chunk advances past 2**64 draws, and a tile that
+    # starts just below that offset crosses it inside the generator
+    for n, extra in [(9, True), (4, False), (1, True), (7, False)]:
+        w = n + extra
+        lo = -(-2 ** 64 // w)
+        assert lo * w >= 2 ** 64
         assert_tiles_follow_contract(3, lo, lo + 5, n, extra)
         assert_tiles_follow_contract(2 ** 64 - 1, lo - 3, lo + 3, n, extra)
 
 
 def test_consecutive_trials_are_one_slice_of_a_single_stream():
-    # trials lo..hi-1, each padded to 4B doubles and laid end to end, are the
-    # doubles of one Generator.random call from counter lo * B
+    # trials lo..hi-1, each n + extra doubles laid end to end, are the
+    # doubles of one Generator.random call from draw lo * W
     seed, lo, hi = 12345, 1000, 1400
-    for n, extra in [(100, False), (9, True), (10, False), (3, True), (2000, True)]:
-        width = 4 * blocks(n, extra)
+    for n, extra in [(100, False), (9, True), (10, False), (3, True), (2000, True),
+                     (7, False), (8, True)]:
+        width = n + extra
         stream = trial_rng(seed, lo, n, extra).random((hi - lo) * width)
         trials = stream.reshape(hi - lo, width)
         for start, u, r in simulate._tiles(seed, lo, hi, n, extra):

@@ -66,6 +66,8 @@ SIM = ["simulate", "--n", "6", "--trials", "400", "--seed", "3"]
 SWEEP = ["sweep", "--trials", "300", "--seed", "5"]
 SOFTMAX_CHUNKS = ["simulate", "--model", "gaussian", "--rule", "softmax:0.5", "--n", "9",
                   "--trials", "2500", "--seed", "11"]
+TOPK_ODD_WIDTH = ["simulate", "--model", "exponential", "--rule", "topk:2", "--n", "8",
+                  "--trials", "1100", "--seed", "18446744073709551615"]
 
 CORPUS = [
     # bound
@@ -163,6 +165,11 @@ CORPUS = [
     # an MGF family reads I only, so an I_alpha is refused, not dropped
     ("bound-err-i-alpha-mgf", ["bound", "--family", "gaussian", "--sigma", "1", "--I", "1",
                                "--i-alpha", "0.7"]),
+    # the uniform cap reads no dependence: refused, and the --joint file is not opened
+    ("bound-err-pnorm-uniform-dependence", ["bound", "--family", "pnorm", "--beta", "2",
+                                            "--sigma", "1", "--uniform", "--n", "5",
+                                            "--I", "1", "--i-alpha", "0.7",
+                                            "--joint", "{tmp}/missing.csv"]),
 ]
 
 for model in ("gaussian", "exponential", "heavytail"):
@@ -211,7 +218,11 @@ CORPUS += [
     # a twin pair that must hash the same: 3 chunks on 1 and on 3 workers
     ("simulate-gaussian-softmax-workers1", SOFTMAX_CHUNKS + ["--workers", "1"]),
     ("simulate-gaussian-softmax-workers3", SOFTMAX_CHUNKS + ["--workers", "3"]),
-    # the largest key word together with top-k's extra double
+    # a twin pair that must hash the same: an odd width n + extra = 8 + 1 with
+    # a randomized rule and the largest seed, on 1 and on 3 workers
+    ("simulate-exponential-topk-odd-width-workers1", TOPK_ODD_WIDTH + ["--workers", "1"]),
+    ("simulate-exponential-topk-odd-width-workers3", TOPK_ODD_WIDTH + ["--workers", "3"]),
+    # the largest seed together with top-k's extra double
     ("simulate-topk-max-seed", ["simulate", "--n", "6", "--trials", "400", "--rule", "topk:3",
                                 "--seed", "18446744073709551615"]),
     # alphas that agree to 6 digits get distinct labels
