@@ -10,15 +10,20 @@ gives Chernoff-style tail rates, and the inverse conjugate
 converts an information budget I (in nats) into a deviation scale.
 
 Sub-Gaussian, sub-exponential and sub-gamma envelopes, and mixtures that
-collapse to one of them, carry both conjugates in closed form.  A tabulated
-envelope is linear between its knots and +inf past the last one, so both
-optima sit on a knot and its conjugates are exact knot-wise reductions, the
-last knot included.  Every other envelope, and ``conjugate_numeric`` /
+collapse to one of them, carry both conjugates in closed form.  A mixture
+of those three families that does not collapse solves for its optimum by
+safeguarded Newton on (0, domain_sup (1 - 1e-12)], the numeric search's own
+bracket, from each family's closed-form psi' and psi'': psi'(lam) = x for
+the conjugate, lam psi'(lam) - psi(lam) = I for the inverse conjugate, and
+the bracket's end when the root lies beyond it.  A tabulated envelope is
+linear between its knots and +inf past the last one, so both optima sit on
+a knot and its conjugates are exact knot-wise reductions, the last knot
+included.  Every other envelope, and ``conjugate_numeric`` /
 ``inverse_conjugate_numeric`` on any envelope (the numeric reference the
-closed forms are tested against), asks ``_solve.minimize`` for the minimum
-of a quasiconvex function of lam on (0, domain_sup): psi(lam) - lam*x for
-the conjugate (convex), and (psi(lam) + I)/lam for the inverse conjugate
-(quasiconvex, because psi is convex with psi(0) = 0).
+closed forms and the Newton are tested against), asks ``_solve.minimize``
+for the minimum of a quasiconvex function of lam on (0, domain_sup):
+psi(lam) - lam*x for the conjugate (convex), and (psi(lam) + I)/lam for the
+inverse conjugate (quasiconvex, because psi is convex with psi(0) = 0).
 
 Every envelope shares one argument contract, stated once in ``CgfEnvelope``:
 ``evaluate`` checks lam >= 0 and calls the unchecked ``_psi``.  The four
@@ -65,6 +70,12 @@ _ORIGIN_SLOPE_TOL = 0.1
 # Above this, doubling a float overflows.
 _HALF_MAX = float(np.finfo(float).max) / 2.0
 
+# Newton stops once its step is below this fraction of lam: well above the
+# few ulps a converged step rounds to, and well below the half distance to a
+# pole that a step near one covers (iterates stay 1e-12 away from it).
+_NEWTON_RTOL = 1e-14
+_NEWTON_STEPS = 100  # a cap only: a solve takes about 5
+
 _NEGATIVE_X = "conjugate argument must be nonnegative"
 _NEGATIVE_INFO = "information budget must be nonnegative"
 
@@ -86,6 +97,32 @@ def _legendre(f: Callable[[float], float], x: float, domain_sup: float) -> float
         return max(-minimize(lambda lam: f(lam) - lam * x, hi), 0.0)
     except NumericDivergence:
         return math.inf
+
+
+def _increasing_root(f: Callable[[float], Tuple[float, float]], target: float,
+                     lam: float, hi: float) -> float:
+    """lam in (0, hi] with f(lam) = target, for f increasing and convex on
+    (0, hi] with f(0+) <= target < f(hi); f returns f and f'.
+
+    Newton from lam; a step that leaves the bracket of the iterates so far
+    bisects it instead.  Right of the root, Newton descends monotonically.
+    """
+    lo = 0.0
+    for _ in range(_NEWTON_STEPS):
+        val, slope = f(lam)
+        if val < target:
+            lo = lam
+        elif val == target:
+            return lam
+        else:  # NaN too: f overflowed, so lam is right of the root
+            hi = lam
+        step = (val - target) / slope
+        if abs(step) <= _NEWTON_RTOL * lam:
+            return lam - step
+        lam -= step
+        if not lo < lam < hi:
+            lam = 0.5 * (lo + hi)
+    return lam
 
 
 def legendre_transform(f: Callable[[float], float], x: float) -> float:
@@ -166,6 +203,11 @@ class SubGaussian(CgfEnvelope):
     def _inverse_conjugate(self, info: float) -> float:
         return self.sigma * math.sqrt(2.0 * info)
 
+    def _derivatives(self, lam: float) -> Tuple[float, float, float]:
+        """psi, psi' and psi'' at a float lam in [0, domain_sup)."""
+        s2 = self.sigma * self.sigma
+        return 0.5 * lam * lam * s2, lam * s2, s2
+
 
 @dataclass(frozen=True)
 class SubExponential(CgfEnvelope):
@@ -200,6 +242,8 @@ class SubExponential(CgfEnvelope):
         if info <= s2 / (2.0 * self.b) / self.b:
             return self.sigma * math.sqrt(2.0 * info)
         return self.b * info + s2 / (2.0 * self.b)
+
+    _derivatives = SubGaussian._derivatives  # the same quadratic below 1/b
 
 
 @dataclass(frozen=True)
@@ -244,6 +288,13 @@ class SubGamma(CgfEnvelope):
 
     def _inverse_conjugate(self, info: float) -> float:
         return math.sqrt(2.0 * self.sigma2 * info) + self.c * info
+
+    def _derivatives(self, lam: float) -> Tuple[float, float, float]:
+        """psi, psi' = sigma2 lam (2 - c lam) / (2 u**2) and psi'' = sigma2 / u**3,
+        u = 1 - c lam, at a float lam in [0, domain_sup)."""
+        u = 1.0 - self.c * lam
+        half = 0.5 * lam * self.sigma2 / u
+        return half * lam, half * (1.0 + u) / u, self.sigma2 / (u * u * u)
 
 
 class Tabulated(CgfEnvelope):
@@ -313,8 +364,9 @@ class MixedEnvelope(CgfEnvelope):
     Weights must be nonnegative and sum to 1 within 1e-9.  A zero-weight
     component adds nothing: domain_sup is the minimum over the positive-weight
     components only.  Homogeneous mixtures collapse to a closed-form member
-    (sub-Gaussian, sub-gamma with shared c, or sub-exponential); anything
-    else evaluates conjugates numerically.
+    (sub-Gaussian, sub-gamma with shared c, or sub-exponential); other
+    mixtures of those three families solve for the optimum by Newton, and
+    anything else evaluates conjugates numerically.
     """
 
     def __init__(self, components: Sequence[Tuple[float, CgfEnvelope]]):
@@ -329,10 +381,15 @@ class MixedEnvelope(CgfEnvelope):
         # finite at lam == domain_sup only if every term is
         self._boundary_finite = math.isfinite(sup) and all(
             math.isfinite(psi(sup)) for _, psi in self._terms)
+        # (weight, _derivatives) per term for Newton; None: numeric searches
+        self._derivative_terms = None
         collapsed = self._collapse(active)
         if collapsed is not None:  # its closed forms are the mixture's
             self._conjugate = collapsed._conjugate
             self._inverse_conjugate = collapsed._inverse_conjugate
+        elif all(isinstance(e, (SubGaussian, SubExponential, SubGamma))
+                 for _, e in active):
+            self._derivative_terms = tuple((w, env._derivatives) for w, env in active)
 
     @property
     def domain_sup(self) -> float:
@@ -343,6 +400,55 @@ class MixedEnvelope(CgfEnvelope):
                                       and not self._boundary_finite):
             return math.inf
         return sum(w * psi(lam) for w, psi in self._terms)
+
+    def _derivatives(self, lam: float) -> Tuple[float, float, float]:
+        psi = d1 = d2 = 0.0
+        for w, derivatives in self._derivative_terms:
+            f, f1, f2 = derivatives(lam)
+            psi += w * f
+            d1 += w * f1
+            d2 += w * f2
+        return psi, d1, d2
+
+    # The Newton starts below are the optima of the sub-gamma envelope with
+    # variance psi''(0) and its pole at domain_sup.  That envelope's psi''
+    # bounds every term's from above, so its optimum lies left of the
+    # mixture's, where the first Newton step moves right.  A mixture that
+    # does not collapse has a capped term, so domain_sup is finite.
+
+    def _inverse_conjugate(self, info: float) -> float:
+        if self._derivative_terms is None:
+            return self._inverse_conjugate_numeric(info)
+        if not info < math.inf:  # +inf or NaN
+            return info
+
+        def excess(lam):  # lam psi'(lam) - psi(lam), increasing and convex
+            psi, d1, d2 = self._derivatives(lam)
+            return lam * d1 - psi, lam * d2
+
+        lam = self._domain_sup * (1.0 - _BOUNDARY_SHRINK)
+        # NaN: inf - inf where lam psi'(lam) overflows, so the root is inside
+        if not excess(lam)[0] <= info:  # else the objective still falls at the end
+            start = math.sqrt(2.0 * info / self._derivatives(0.0)[2])
+            lam = _increasing_root(excess, info, start / (1.0 + start / self._domain_sup),
+                                   lam)
+        return (self._psi(lam) + info) / lam
+
+    def _conjugate(self, x: float) -> float:
+        if self._derivative_terms is None:
+            return self._conjugate_numeric(x)
+        if not x < math.inf:  # +inf or NaN
+            return x
+
+        def slope(lam):  # psi'(lam), increasing and convex
+            return self._derivatives(lam)[1:]
+
+        lam = self._domain_sup * (1.0 - _BOUNDARY_SHRINK)
+        if not slope(lam)[0] <= x:  # else lam x - psi(lam) still rises at the end
+            s2 = self._derivatives(0.0)[2]
+            r = math.sqrt(1.0 + 2.0 * x / (s2 * self._domain_sup))
+            lam = _increasing_root(slope, x, 2.0 * x / (s2 * r * (1.0 + r)), lam)
+        return max(lam * x - self._psi(lam), 0.0)
 
     @staticmethod
     def _collapse(active):

@@ -16,11 +16,21 @@ a norm under psi* costs the same few array operations per objective
 evaluation as a norm under psi; only a psi without a closed-form conjugate
 takes a numeric Legendre transform per element.
 
-Every numeric solve is one call into ``_solve``: the Luxemburg norm and
-psi^{-1} ask ``threshold`` for the smallest s at which the monotone tests
-E psi(|X|/s) <= 1 and psi(s) >= y turn true; the Amemiya norm asks
-``minimize`` for the minimum of its quasiconvex objective, and a conjugate
-without a closed form goes through ``cgf.legendre_transform``.
+A power psi(u) = a u**p with p > 1 (``power_orlicz(p)``,
+``scaled_power_orlicz(p)`` and the conjugate of either, a v**q) carries its
+(a, p), and its norms and inverse are closed forms, with m = max|X| and
+M = a E (|X|/m)**p:
+
+* Luxemburg:  m M**(1/p)
+* Amemiya:    m p/(p - 1) ((p - 1) M)**(1/p)
+* psi^{-1}(y) = (y/a)**(1/p)
+
+Every other psi solves numerically, one call into ``_solve`` per solve:
+the Luxemburg norm and psi^{-1} ask ``threshold`` for the smallest s at
+which the monotone tests E psi(|X|/s) <= 1 and psi(s) >= y turn true; the
+Amemiya norm asks ``minimize`` for the minimum of its quasiconvex
+objective, and a conjugate without a closed form goes through
+``cgf.legendre_transform``.
 """
 
 from __future__ import annotations
@@ -56,6 +66,10 @@ class OrliczFunction:
     psi*(v) = sup_u (u v - psi(u)); otherwise the conjugate is computed
     numerically by ``cgf.legendre_transform``, one element at a time.
     """
+
+    # (a, p) of a power psi(u) = a u**p with p > 1, set by the factories and
+    # by conjugate_function; None selects the numeric solves
+    _power = None
 
     def __init__(self, fn: Callable, name: str = "psi",
                  conjugate_fn: Optional[Callable] = None, validate: bool = True):
@@ -100,14 +114,25 @@ class OrliczFunction:
         return float(self.conjugate_function()(v))
 
     def conjugate_function(self) -> "OrliczFunction":
-        """The conjugate psi* as an OrliczFunction (it is one)."""
+        """The conjugate psi* as an OrliczFunction (it is one).
+
+        A power psi's conjugate is a power too, and its conjugate is psi.
+        """
         fn = self._conjugate_fn
         if fn is None:
             def fn(v):
                 return np.vectorize(
                     lambda t: legendre_transform(lambda u: float(self(u)), t),
                     otypes=[float])(v)[()]
-        return OrliczFunction(fn, name=f"{self.name}*", validate=False)
+        if self._power is None:
+            return OrliczFunction(fn, name=f"{self.name}*", validate=False)
+        conj = OrliczFunction(fn, name=f"{self.name}*", conjugate_fn=self._fn,
+                              validate=False)
+        # sup_u (u v - a u**p) = (p - 1)/p (a p)**(1 - q) v**q, 1/p + 1/q = 1
+        a, p = self._power
+        q = p / (p - 1.0)
+        conj._power = ((p - 1.0) / p * (a * p) ** (1.0 - q), q)
+        return conj
 
     def inverse(self, y: float) -> float:
         """Smallest u with psi(u) >= y (generalized inverse), y >= 0.
@@ -122,6 +147,9 @@ class OrliczFunction:
             return 0.0
         if y == math.inf:
             return math.inf
+        if self._power is not None:
+            a, p = self._power
+            return y ** (1.0 / p) / a ** (1.0 / p)  # y / a could overflow
         u = threshold(lambda u: float(self(u)) >= y, 1.0)
         if u == math.inf:
             raise NumericDivergence("psi never reaches the requested level")
@@ -145,7 +173,10 @@ def power_orlicz(p: float) -> OrliczFunction:
 
         def conj(v):
             return (p - 1.0) * np.power(v / p, q)
-    return OrliczFunction(fn, name=f"power({p:g})", conjugate_fn=conj)
+    psi = OrliczFunction(fn, name=f"power({p:g})", conjugate_fn=conj)
+    if p > 1.0:
+        psi._power = (1.0, p)
+    return psi
 
 
 def scaled_power_orlicz(p: float) -> OrliczFunction:
@@ -160,7 +191,9 @@ def scaled_power_orlicz(p: float) -> OrliczFunction:
 
     def conj(v):
         return np.power(v, q) / q
-    return OrliczFunction(fn, name=f"scaled_power({p:g})", conjugate_fn=conj)
+    psi = OrliczFunction(fn, name=f"scaled_power({p:g})", conjugate_fn=conj)
+    psi._power = (1.0 / p, p)
+    return psi
 
 
 # 1/(2k + 3), k = 0..15: the series of exp_orlicz's conjugate below v = 2; at
@@ -208,20 +241,38 @@ def _as_weighted(values, weights, *paired):
     return (v, w, *paired)
 
 
+def _power_moment(v, w, m: float, power) -> float:
+    """a sum_i w_i (v_i/m)**p under psi(u) = a u**p, for m = max v in (0, inf):
+    no (v_i/m)**p overflows."""
+    a, p = power
+    return a * float(np.sum(w * (v / m) ** p))
+
+
+def _power_amemiya(v, w, m: float, power) -> float:
+    """Amemiya norm under psi(u) = a u**p, p > 1, for m = max v in (0, inf).
+
+    The minimiser t of (1 + E psi(t |X|)) / t solves (p - 1) a t**p E|X|**p = 1,
+    where the objective is p / ((p - 1) t).  The weights need not sum to 1.
+    """
+    p = power[1]
+    return m * p / (p - 1.0) * ((p - 1.0) * _power_moment(v, w, m, power)) ** (1.0 / p)
+
+
 def luxemburg_norm(values, psi: OrliczFunction, weights=None) -> float:
     """Luxemburg norm inf { s : E psi(|X|/s) <= 1 } of a finite distribution."""
     v, w = _as_weighted(values, weights)
-    if not np.any(v > 0):
+    m = float(v.max())
+    if m == 0.0:
         return 0.0
+    if m == math.inf:  # E psi(inf / s) = inf at every s
+        raise NumericDivergence("Luxemburg norm diverges: E psi(|X|/s) > 1 for all s")
+    if psi._power is not None:
+        return m * _power_moment(v, w, m, psi._power) ** (1.0 / psi._power[1])
 
     def excess(s: float) -> float:
-        # inf/inf -> nan treated as divergent mass, not an error
-        with np.errstate(invalid="ignore"):
-            ratios = v / s
-        ratios = np.where(np.isnan(ratios), np.inf, ratios)
-        return float(np.sum(w * np.asarray(psi(ratios), dtype=float)))
+        return float(np.sum(w * np.asarray(psi(v / s), dtype=float)))
 
-    s = threshold(lambda s: excess(s) <= 1.0, v.max())
+    s = threshold(lambda s: excess(s) <= 1.0, m)
     if s == math.inf:
         raise NumericDivergence("Luxemburg norm diverges: E psi(|X|/s) > 1 for all s")
     return s
@@ -234,6 +285,7 @@ def amemiya_norm(values, psi: OrliczFunction, weights=None) -> float:
     quasiconvex in s; ``_solve.minimize`` takes its minimum over s > 0, so the
     search starts at t = 1 / max|X| whatever the scale of X.  NumericDivergence
     if the objective is infinite for every t or has no minimum below s = 2**1000.
+    A power psi takes the closed form instead (module docstring).
     """
     v, w = _as_weighted(values, weights)
     m = float(v.max())
@@ -241,6 +293,8 @@ def amemiya_norm(values, psi: OrliczFunction, weights=None) -> float:
         return 0.0
     if m == math.inf:
         raise NumericDivergence("Amemiya objective diverges for every t")
+    if psi._power is not None:
+        return _power_amemiya(v, w, m, psi._power)
     u = v / m
 
     def obj(s: float) -> float:
@@ -259,17 +313,36 @@ def orlicz_bias_bound(sigma: float, joint: DiscreteJoint,
     sigma is the common Luxemburg psi-norm cap on the centered coordinates;
     L is the likelihood ratio joint/(product of marginals) and the conjugate
     Amemiya norm is taken under the product measure.
+
+    A product of two positive marginals can underflow to 0 at a cell with
+    mass.  Under a power psi, whose conjugate is a v**q, such a cell adds
+    w |L - 1|**q = (w**(1/q) |L - 1|)**q to the norm's moment, which is
+    taken from log p - log p_row - log p_col without forming w or L; under
+    any other psi the bound is then +inf.
     """
     if not sigma >= 0:
         raise ValueError("sigma must be nonnegative")
     prod = joint.product_of_marginals()
     mask = prod > 0
-    # a product of two positive marginals can underflow to 0 at a cell with mass
-    if np.any(joint.p[~mask] > 0):
+    values = np.abs(joint.p[mask] / prod[mask] - 1.0)
+    conj = psi.conjugate_function()
+    lost = (joint.p > 0) & ~mask
+    if not np.any(lost):
+        return sigma * amemiya_norm(values, conj, weights=prod[mask])
+    if conj._power is None:
         return math.inf
-    ratio = joint.p[mask] / prod[mask]
-    return sigma * amemiya_norm(np.abs(ratio - 1.0), psi.conjugate_function(),
-                                weights=prod[mask])
+    rows, cols = np.nonzero(lost)
+    log_w = np.log(joint.p_rows[rows]) + np.log(joint.p_cols[cols])
+    # p >= 2**-1074 > 2 w where w rounds to 0, so L > 2 and
+    # log(L - 1) = log L + log(1 - 1/L)
+    log_l = np.log(joint.p[lost]) - log_w
+    q = conj._power[1]
+    values = np.concatenate([values, np.exp(log_w / q + log_l + np.log(-np.expm1(-log_l)))])
+    weights = np.concatenate([prod[mask], np.ones(log_w.size)])
+    m = float(values.max())
+    if not 0.0 < m < math.inf:  # every value is 0 or underflows, or one overflows
+        return m
+    return sigma * _power_amemiya(values, weights, m, conj._power)
 
 
 def holder_check(x, y, psi: OrliczFunction, weights=None):

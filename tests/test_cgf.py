@@ -421,11 +421,10 @@ sub_gammas = st.builds(SubGamma, st.floats(0.01, 100.0), st.floats(0.1, 10.0))
 
 
 @st.composite
-def mixtures(draw):
-    """A sub-Gaussian mixed with one or two components of other families, all
-    with positive weight, so the mixture never collapses to a closed form."""
-    others = draw(st.lists(st.one_of(sub_exponentials, sub_gammas, tabulated_envelopes()),
-                           min_size=1, max_size=2))
+def mixtures(draw, others=st.one_of(sub_exponentials, sub_gammas, tabulated_envelopes())):
+    """A sub-Gaussian mixed with one or two components drawn from ``others``,
+    all with positive weight, so the mixture never collapses to a closed form."""
+    others = draw(st.lists(others, min_size=1, max_size=2))
     envs = [draw(sub_gaussians)] + others
     w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(envs),
                                max_size=len(envs))))
@@ -472,6 +471,33 @@ def test_fenchel_young(env, t, x, slope):
     for w in (x, slope * deriv):
         lhs = env.evaluate(lam) + env.conjugate(w)
         assert lhs >= lam * w * (1 - 1e-10) - 1e-300, (lam, w, lhs)
+
+
+def test_mixture_newton_makes_no_numeric_search(no_numeric_search):
+    mix = MixedEnvelope([(0.3, SubGaussian(1.2)), (0.5, SubGamma(0.8, 0.6)),
+                         (0.2, SubExponential(1.1, 0.9))])
+    for info in (1e-3, 0.5, 10.0, 1e4):
+        x = mix.inverse_conjugate(info)
+        assert mix.conjugate(x) == pytest.approx(info, rel=1e-10)
+
+
+# an optimum at lam = t * domain_sup: anywhere the budget is a normal float,
+# within 1e-10 of the cap 1/c or 1/b, or past the numeric search's 1e-12
+# shrink, where both take its end
+cap_fractions = st.one_of(st.floats(1e-100, 1.0, exclude_max=True),
+                          st.floats(0.0, 14.0).map(lambda k: 1.0 - 10.0 ** -k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mix=mixtures(st.one_of(sub_exponentials, sub_gammas)), t=cap_fractions)
+def test_mixture_newton_matches_numeric(mix, t):
+    lam = t * mix.domain_sup
+    psi, slope, _ = mix._derivatives(lam)
+    info = lam * slope - psi  # the budget and the argument optimal at lam
+    assert mix.inverse_conjugate(info) == pytest.approx(
+        mix.inverse_conjugate_numeric(info), rel=1e-12, abs=0)
+    assert mix.conjugate(slope) == pytest.approx(
+        mix.conjugate_numeric(slope), rel=1e-12, abs=0)
 
 
 @settings(max_examples=200, deadline=None)

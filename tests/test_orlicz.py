@@ -234,12 +234,79 @@ def test_orlicz_bias_bound_scales_in_sigma():
         orlicz_bias_bound(-1.0, joint, psi)
 
 
-def test_orlicz_bias_bound_underflowed_product_is_inf():
+UNDERFLOWED = [[1e-200, 0.0], [0.0, 1.0 - 1e-200]]
+
+
+def test_orlicz_bias_bound_underflowed_product_power_is_finite():
     # both marginals of cell (0, 0) are 1e-200, so the product measure is 0
     # there in floats; L = 1e200 at weight 1e-400 still weighs about 1 in
-    # the conjugate norm, and leaving the cell out would give 1.4e-100
-    joint = DiscreteJoint([[1e-200, 0.0], [0.0, 1.0 - 1e-200]])
-    assert orlicz_bias_bound(1.0, joint, power_orlicz(2.0)) == math.inf
+    # the conjugate norm: sum p**2 / (p_row p_col) - 1 = 1, so under
+    # psi = u**2 (psi* = v**2 / 4) the bound is sqrt(1) = 1, where leaving the
+    # cell out would give 1.4e-100
+    joint = DiscreteJoint(UNDERFLOWED)
+    assert orlicz_bias_bound(1.0, joint, power_orlicz(2.0)) == pytest.approx(1.0, rel=1e-15)
+    # psi = u**2 / 2 scales the conjugate norm by 2**(1/2)
+    assert orlicz_bias_bound(3.0, joint, scaled_power_orlicz(2.0)) == \
+        pytest.approx(3.0 * math.sqrt(2.0), rel=1e-15)
+
+
+def test_orlicz_bias_bound_underflowed_product_exp_is_inf():
+    # exp's conjugate has no power form to carry the lost cell's weight
+    joint = DiscreteJoint(UNDERFLOWED)
+    assert orlicz_bias_bound(1.0, joint, exp_orlicz()) == math.inf
+
+
+# --- the power family in closed form ---------------------------------------
+
+@pytest.mark.parametrize("psi", [power_orlicz(2.0), power_orlicz(3.0), scaled_power_orlicz(3.0)],
+                         ids=repr)
+def test_power_family_makes_no_numeric_search(psi, no_numeric_search):
+    rng = np.random.default_rng(97)
+    x = rng.uniform(0.0, 3.0, 50)
+    w = rng.dirichlet(np.ones(50))
+    joint = random_joint(rng, (4, 5))
+    for f in (psi, psi.conjugate_function()):
+        assert 0.0 < luxemburg_norm(x, f, w) <= amemiya_norm(x, f, w) < math.inf
+        assert 0.0 < f.inverse(7.0) < math.inf
+        assert 0.0 < orlicz_bias_bound(1.5, joint, f) < math.inf
+
+
+def numeric_twin(family, p):
+    """A closed-form power psi and the same function as a plain OrliczFunction,
+    whose norms and inverse take the numeric searches."""
+    q = p / (p - 1.0)
+    return {"power": (power_orlicz(p), lambda u: u ** p),
+            "scaled": (scaled_power_orlicz(p), lambda u: u ** p / p),
+            "power*": (power_orlicz(p).conjugate_function(),
+                       lambda v: (p - 1.0) * (v / p) ** q)}[family]
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(["power", "scaled", "power*"]), p=st.floats(1.05, 8.0),
+       cells=st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1.0)),
+                      min_size=1, max_size=8),
+       y=st.floats(1e-3, 1e3))
+def test_power_closed_forms_match_numeric(family, p, cells, y):
+    closed, fn = numeric_twin(family, p)
+    plain = OrliczFunction(fn)
+    x, w = np.array(cells).T
+    w = w / w.sum()
+    for norm in (luxemburg_norm, amemiya_norm):
+        assert norm(x, closed, w) == pytest.approx(norm(x, plain, w), rel=1e-12, abs=0)
+    assert closed.inverse(y) == pytest.approx(plain.inverse(y), rel=1e-12, abs=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.floats(1.05, 8.0), seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.tuples(st.integers(1, 6), st.integers(1, 6)))
+def test_power_bias_bound_is_alpha_mutual_information(p, seed, shape):
+    # psi = u**p has psi* = (p - 1)(v/p)**q, whose Amemiya norm of L - 1 is
+    # E_prod |L - 1|**q to the 1/q: I_q(J)**(1/q).  On a joint that is a
+    # product, L - 1 is rounding, a few 1e-16, where I_q is clamped to 0
+    q = p / (p - 1.0)
+    joint = random_joint(np.random.default_rng(seed), shape)
+    assert orlicz_bias_bound(1.0, joint, power_orlicz(p)) == pytest.approx(
+        alpha_mutual_information(joint, q) ** (1.0 / q), rel=1e-12, abs=1e-14)
 
 
 # --- closed-form conjugates on arrays ---------------------------------------
