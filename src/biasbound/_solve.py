@@ -1,13 +1,17 @@
-"""The two 1-D searches behind every numeric solve in the package.
+"""The three 1-D searches behind every numeric solve in the package.
 
-Both are scale-free: brackets grow and shrink by factors and the stopping
-rules are relative, so a problem rescaled by 10**k is solved as accurately.
+``minimize`` (golden section on a quasiconvex function) and ``threshold``
+(bisection on a monotone test) need only function values; ``increasing_root``
+(safeguarded Newton) also needs the derivative of a convex increasing
+function.  All three are scale-free: brackets grow and shrink by factors and
+the stopping rules are relative, so a problem rescaled by 10**k is solved as
+accurately.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -18,6 +22,13 @@ _FLOOR = 1e-300       # scans stop widening left below this
 _TOP = 2.0 ** 1000    # doubling past this: no minimum in range
 _RTOL = 1e-15         # golden section stops at this width relative to the bracket
 _MAX = math.nextafter(math.inf, 0.0)  # the largest float
+
+# Newton stops once its step is below this fraction of lam: well above the
+# few ulps a converged step rounds to, and well below the half distance to a
+# pole that a step near one covers (cgf's mixture iterates stay 1e-12 away
+# from theirs).
+_NEWTON_RTOL = 1e-14
+_NEWTON_STEPS = 100  # a cap only: a solve takes about 5
 
 
 class NumericDivergence(ArithmeticError):
@@ -97,3 +108,29 @@ def threshold(pred: Callable[[float], bool], x: float) -> float:
         else:
             lo = mid
     return hi
+
+
+def increasing_root(f: Callable[[float], Tuple[float, float]], target: float,
+                    lam: float, hi: float) -> float:
+    """lam in (0, hi] with f(lam) = target, for f increasing and convex on
+    (0, hi] with f(0+) <= target < f(hi); f returns f and f'.
+
+    Newton from lam; a step that leaves the bracket of the iterates so far
+    bisects it instead.  Right of the root, Newton descends monotonically.
+    """
+    lo = 0.0
+    for _ in range(_NEWTON_STEPS):
+        val, slope = f(lam)
+        if val < target:
+            lo = lam
+        elif val == target:
+            return lam
+        else:  # NaN too: f overflowed, so lam is right of the root
+            hi = lam
+        step = (val - target) / slope
+        if abs(step) <= _NEWTON_RTOL * lam:
+            return lam - step
+        lam -= step
+        if not lo < lam < hi:
+            lam = 0.5 * (lo + hi)
+    return lam

@@ -45,7 +45,7 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from ._csv import Table
-from ._solve import NumericDivergence, minimize
+from ._solve import NumericDivergence, increasing_root, minimize
 from .divergence import _as_prob_vector
 
 __all__ = [
@@ -70,12 +70,6 @@ _ORIGIN_SLOPE_TOL = 0.1
 # Above this, doubling a float overflows.
 _HALF_MAX = float(np.finfo(float).max) / 2.0
 
-# Newton stops once its step is below this fraction of lam: well above the
-# few ulps a converged step rounds to, and well below the half distance to a
-# pole that a step near one covers (iterates stay 1e-12 away from it).
-_NEWTON_RTOL = 1e-14
-_NEWTON_STEPS = 100  # a cap only: a solve takes about 5
-
 _NEGATIVE_X = "conjugate argument must be nonnegative"
 _NEGATIVE_INFO = "information budget must be nonnegative"
 
@@ -97,32 +91,6 @@ def _legendre(f: Callable[[float], float], x: float, domain_sup: float) -> float
         return max(-minimize(lambda lam: f(lam) - lam * x, hi), 0.0)
     except NumericDivergence:
         return math.inf
-
-
-def _increasing_root(f: Callable[[float], Tuple[float, float]], target: float,
-                     lam: float, hi: float) -> float:
-    """lam in (0, hi] with f(lam) = target, for f increasing and convex on
-    (0, hi] with f(0+) <= target < f(hi); f returns f and f'.
-
-    Newton from lam; a step that leaves the bracket of the iterates so far
-    bisects it instead.  Right of the root, Newton descends monotonically.
-    """
-    lo = 0.0
-    for _ in range(_NEWTON_STEPS):
-        val, slope = f(lam)
-        if val < target:
-            lo = lam
-        elif val == target:
-            return lam
-        else:  # NaN too: f overflowed, so lam is right of the root
-            hi = lam
-        step = (val - target) / slope
-        if abs(step) <= _NEWTON_RTOL * lam:
-            return lam - step
-        lam -= step
-        if not lo < lam < hi:
-            lam = 0.5 * (lo + hi)
-    return lam
 
 
 def legendre_transform(f: Callable[[float], float], x: float) -> float:
@@ -430,8 +398,8 @@ class MixedEnvelope(CgfEnvelope):
         # NaN: inf - inf where lam psi'(lam) overflows, so the root is inside
         if not excess(lam)[0] <= info:  # else the objective still falls at the end
             start = math.sqrt(2.0 * info / self._derivatives(0.0)[2])
-            lam = _increasing_root(excess, info, start / (1.0 + start / self._domain_sup),
-                                   lam)
+            lam = increasing_root(excess, info, start / (1.0 + start / self._domain_sup),
+                                  lam)
         return (self._psi(lam) + info) / lam
 
     def _conjugate(self, x: float) -> float:
@@ -447,7 +415,7 @@ class MixedEnvelope(CgfEnvelope):
         if not slope(lam)[0] <= x:  # else lam x - psi(lam) still rises at the end
             s2 = self._derivatives(0.0)[2]
             r = math.sqrt(1.0 + 2.0 * x / (s2 * self._domain_sup))
-            lam = _increasing_root(slope, x, 2.0 * x / (s2 * r * (1.0 + r)), lam)
+            lam = increasing_root(slope, x, 2.0 * x / (s2 * r * (1.0 + r)), lam)
         return max(lam * x - self._psi(lam), 0.0)
 
     @staticmethod

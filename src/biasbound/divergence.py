@@ -214,21 +214,56 @@ def phi_divergence(p, q, gen: PhiGenerator) -> float:
     return total
 
 
+def _underflowed_cells(joint: DiscreteJoint, prod: np.ndarray):
+    """p, log w and log(L - 1) at the cells with mass p where prod, the
+    product of marginals, underflowed to w = 0 in floats, with L = p / w;
+    None if there is no such cell.
+
+    log w = log p_row + log p_col; p >= 2**-1074 > 2 w there, so L > 2 and
+    log(L - 1) = log L + log(1 - 1/L).
+    """
+    lost = (joint.p > 0) & (prod == 0)
+    if not lost.any():
+        return None
+    rows, cols = np.nonzero(lost)
+    p = joint.p[rows, cols]
+    log_w = np.log(joint.p_rows[rows]) + np.log(joint.p_cols[cols])
+    log_l = np.log(p) - log_w
+    return p, log_w, log_l + np.log(-np.expm1(-log_l))
+
+
 def mutual_information(joint: DiscreteJoint) -> float:
-    """I(T; probe) in nats, the KL divergence from the product of marginals."""
+    """I(T; probe) in nats, the KL divergence from the product of marginals.
+
+    A cell with mass whose product of marginals underflows to 0 adds
+    p (log p - log p_row - log p_col) (``_underflowed_cells``).
+    """
     j = joint.p
     prod = joint.product_of_marginals()
-    mask = j > 0
+    mask = (j > 0) & (prod > 0)
     val = float(np.sum(j[mask] * (np.log(j[mask]) - np.log(prod[mask]))))
+    lost = _underflowed_cells(joint, prod)
+    if lost is not None:
+        p, log_w, _ = lost
+        val += float(np.sum(p * (np.log(p) - log_w)))
     return max(val, 0.0)
 
 
 def alpha_mutual_information(joint: DiscreteJoint, alpha: float) -> float:
-    """I_alpha(T; probe): the |x-1|^alpha divergence from the product measure."""
+    """I_alpha(T; probe): the |x-1|^alpha divergence from the product measure.
+
+    A cell with mass whose product of marginals w underflows to 0 adds
+    w (L - 1)**alpha, taken from logs (``_underflowed_cells``).
+    """
     if not alpha >= 1:
         raise ValueError("alpha must be >= 1")
-    val = phi_divergence(joint.p, joint.product_of_marginals(),
-                         abs_power_generator(alpha))
+    prod = joint.product_of_marginals()
+    mask = prod > 0
+    val = phi_divergence(joint.p[mask], prod[mask], abs_power_generator(alpha))
+    lost = _underflowed_cells(joint, prod)
+    if lost is not None:
+        _, log_w, log_l1 = lost
+        val += float(np.sum(np.exp(log_w + alpha * log_l1)))
     return max(val, 0.0)
 
 

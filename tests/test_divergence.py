@@ -121,6 +121,18 @@ def test_mutual_information_identity_joint():
     assert alpha_mutual_information(joint, 2.0) == pytest.approx(1.0, rel=1e-14)
 
 
+def test_dependence_measures_on_an_underflowed_product():
+    # both marginals of cell (0, 0) are 1e-200, so p_row p_col = 1e-400 is 0
+    # in floats: I = 1e-200 ln(1e200) there, and the cell adds
+    # w (L - 1)**alpha = 1e-400 (1e200)**alpha to I_alpha, 1 at alpha = 2
+    joint = DiscreteJoint([[1e-200, 0.0], [0.0, 1.0 - 1e-200]])
+    assert mutual_information(joint) == pytest.approx(200 * math.log(10) * 1e-200, rel=1e-14)
+    assert alpha_mutual_information(joint, 2.0) == pytest.approx(1.0, rel=1e-14)
+    assert alpha_mutual_information(joint, 3.0) == pytest.approx(1e200, rel=1e-12)
+    # alpha = 1: |p - w| summed, 1e-200 at each of the three cells off (1, 1)
+    assert alpha_mutual_information(joint, 1.0) == pytest.approx(3e-200, rel=1e-12)
+
+
 def test_mutual_information_independent_is_zero():
     rng = np.random.default_rng(17)
     for _ in range(10):
