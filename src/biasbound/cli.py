@@ -92,13 +92,12 @@ _RULES = {name: (rule, next((f.default for f in fields(rule)), None))
                              ("softmax", sim.SoftMax))}
 _PSIS = {"power": (orz.power_orlicz, 2.0), "scaled": (orz.scaled_power_orlicz, 2.0),
          "exp": (orz.exp_orlicz, None)}
-_FAMILIES = ("gaussian", "subgamma", "subexponential", "pnorm", "tabulated")  # --family names
 
 
-def _parse_spec(spec: str, table, what: str, wrap_errors: bool = False):
+def _parse_spec(spec: str, table, what: str):
     """NAME or NAME:ARG, looked up in ``table``; ARG, read as the type of the
     parameter's default, replaces that default, and is ignored without one.
-    With ``wrap_errors`` a rejected ARG reads ``invalid <what> <spec>: ...``."""
+    A rejected ARG reads ``invalid <what> <spec>: <reason>``."""
     name, _, arg = spec.partition(":")
     entry = table.get(name.strip().lower())
     if entry is None:
@@ -109,8 +108,6 @@ def _parse_spec(spec: str, table, what: str, wrap_errors: bool = False):
             return factory()
         return factory(type(default)(arg) if arg else default)
     except ValueError as exc:
-        if not wrap_errors:
-            raise
         raise ConfigError(f"invalid {what} {spec!r}: {exc}") from None
 
 
@@ -127,7 +124,7 @@ def _build_model(cfg: RunConfig):
     for f in fields(_MODELS[name]):
         v = getattr(cfg, f.name)
         if isinstance(v, list):  # --sigma is a list; a model takes one value
-            v = _one(cfg, f.name) if v else None
+            v = _one(cfg, f.name)
         if v is not None:
             params[f.name] = v
     return _MODELS[name](**params)
@@ -147,73 +144,83 @@ def _one(cfg: RunConfig, name: str) -> float:
     return values[0]
 
 
-def _dependence(cfg: RunConfig, uses: str, alpha: float):
-    """(I, I_alpha at order alpha) from --I and --i-alpha, or both from --joint when
-    ``uses``, the one the family reads, is missing; an MGF family refuses --i-alpha."""
-    if uses == "info" and cfg.i_alpha is not None:
-        raise ConfigError("option 'i_alpha' is read only by the pnorm family")
-    if getattr(cfg, uses) is None and cfg.joint:
+def _budgets(cfg: RunConfig, report: bnd.BoundReport, alpha: float):
+    """(I, I_alpha at order alpha) into the report: the one of --I and --i-alpha
+    that a row reads, or both from --joint when it is unset."""
+    info, i_alpha = cfg.info, cfg.i_alpha
+    if info is None and i_alpha is None and cfg.joint:
         joint = dv.DiscreteJoint.from_csv(cfg.joint)
-        return dv.mutual_information(joint), dv.alpha_mutual_information(joint, alpha)
-    return cfg.info, cfg.i_alpha
+        info, i_alpha = dv.mutual_information(joint), dv.alpha_mutual_information(joint, alpha)
+    report.dependence = {"I": info, "I_alpha": {} if i_alpha is None
+                         else {sim._alpha_key(alpha): i_alpha}}
+    return info, i_alpha
+
+
+def _info(cfg: RunConfig, report: bnd.BoundReport) -> float:
+    """I in nats for an MGF family, whose bound refuses a negative one."""
+    info = _budgets(cfg, report, 2.0)[0]
+    if info is None:
+        raise ConfigError(f"{cfg.family} bound needs --I or --joint")
+    return info
+
+
+def _pnorm(cfg, report, p_t):
+    alpha = bnd.conjugate_exponent(cfg.beta)
+    report.meta.update(beta=cfg.beta, alpha=alpha)
+    i_alpha = _budgets(cfg, report, alpha)[1]
+    if i_alpha is None:
+        raise ConfigError("pnorm bound needs --i-alpha, --joint, or --uniform")
+    return {"pnorm": (bnd.pnorm_bound(cfg.sigma, p_t, cfg.beta, i_alpha), "two_sided")}
+
+
+def _pnorm_uniform(cfg, report, p_t):
+    report.meta.update(beta=cfg.beta, alpha=bnd.conjugate_exponent(cfg.beta), n=cfg.n)
+    ub = bnd.pnorm_uniform_bound(cfg.sigma, cfg.beta, cfg.n, p_t)
+    return {"pnorm_uniform": (ub.value, "two_sided"),
+            "pnorm_uniform_loose": (ub.loose, "two_sided")}
+
+
+def _subexponential(cfg, report, p_t):
+    info, sigma = _info(cfg, report), _one(cfg, "sigma")
+    return {"subexponential": (SubExponential(sigma, cfg.b).inverse_conjugate(info), "upper"),
+            "subexponential_piecewise": (subexponential_piecewise_bound(sigma, cfg.b, info),
+                                         "printed_form")}
+
+
+# bound rows: (--family, --uniform) -> (options it requires, inputs it reads,
+# builder (cfg, report, p_t) of its bounds name -> (value, side)), in --family order
+_FAMILIES = {
+    ("gaussian", False): (("sigma",), ("info", "joint", "p_t"), lambda cfg, report, p_t: {
+        "gaussian": (bnd.gaussian_bound(cfg.sigma, _info(cfg, report), p_t), "upper")}),
+    ("subgamma", False): (("sigma2", "c"), ("info", "joint"), lambda cfg, report, p_t: {
+        "subgamma": (SubGamma(cfg.sigma2, cfg.c).inverse_conjugate(_info(cfg, report)),
+                     "upper")}),
+    ("subexponential", False): (("sigma", "b"), ("info", "joint"), _subexponential),
+    ("pnorm", False): (("beta", "sigma"), ("i_alpha", "joint", "p_t"), _pnorm),
+    # a cap over every joint on n cells, which reads no dependence
+    ("pnorm", True): (("beta", "sigma", "n"), ("p_t", "uniform", "n"), _pnorm_uniform),
+    ("tabulated", False): (("envelope",), ("info", "joint"), lambda cfg, report, p_t: {
+        "mgf_tabulated": (Tabulated.from_csv(cfg.envelope).inverse_conjugate(
+            _info(cfg, report)), "upper")}),
+}
 
 
 def cmd_bound(cfg: RunConfig) -> bnd.BoundReport:
     _require(cfg, "family")
-    family = cfg.family
-    if family not in _FAMILIES:  # a config file can name any family
-        raise ConfigError(f"unknown family {family!r}")
-    report = bnd.BoundReport(meta={"command": "bound", "family": family, "seed": cfg.seed})
+    uniform = bool(cfg.uniform) and (cfg.family, True) in _FAMILIES  # else refused below
+    if (cfg.family, uniform) not in _FAMILIES:  # a config file can name any family
+        raise ConfigError(f"unknown family {cfg.family!r}")
+    requires, reads, build = _FAMILIES[cfg.family, uniform]
+    for name in ("info", "i_alpha", "joint", "p_t", "uniform", "n"):  # read by some rows
+        value = getattr(cfg, name)
+        if name not in reads and value is not None and value is not False:
+            raise ConfigError(f"option {name!r} is not read by the " + (
+                f"uniform {cfg.family} bound" if uniform else f"{cfg.family} family"))
+    _require(cfg, *requires)
+    report = bnd.BoundReport(meta={"command": "bound", "family": cfg.family, "seed": cfg.seed})
     p_t = dv.load_probability_vector(cfg.p_t) if cfg.p_t else None
-    uses, alpha = "info", 2.0  # an MGF family reads I; --joint also reports I_2
-    if family == "pnorm":
-        _require(cfg, "beta", "sigma")
-        uses, alpha = "i_alpha", bnd.conjugate_exponent(cfg.beta)
-        report.meta.update(beta=cfg.beta, alpha=alpha)
-        if cfg.uniform:
-            for name in ("info", "i_alpha", "joint"):  # a cap over every joint reads none
-                if getattr(cfg, name) is not None:
-                    raise ConfigError(f"option {name!r} is not read by the uniform pnorm bound")
-            _require(cfg, "n")
-            ub = bnd.pnorm_uniform_bound(cfg.sigma, cfg.beta, cfg.n, p_t)
-            report.meta["n"] = cfg.n
-            report.add_bound("pnorm_uniform", ub.value)
-            report.add_bound("pnorm_uniform_loose", ub.loose)
-            return report
-    i_val, i_alpha = _dependence(cfg, uses, alpha)
-    report.dependence = {"I": i_val, "I_alpha": {} if i_alpha is None
-                         else {sim._alpha_key(alpha): i_alpha}}
-    if family == "pnorm":
-        if i_alpha is None:
-            raise ConfigError("pnorm bound needs --i-alpha, --joint, or --uniform")
-        report.add_bound("pnorm", bnd.pnorm_bound(cfg.sigma, p_t, cfg.beta, i_alpha))
-        return report
-
-    # the remaining families consume an information budget in nats
-    if i_val is None:
-        raise ConfigError(f"{family} bound needs --I or --joint")
-    if i_val < 0:
-        raise ConfigError("information budget must be nonnegative")
-    if family == "gaussian":
-        _require(cfg, "sigma")
-        report.add_bound("gaussian",
-                         bnd.gaussian_bound(cfg.sigma, i_val, p_t), side="upper")
-    elif family == "subgamma":
-        _require(cfg, "sigma2", "c")
-        env = SubGamma(cfg.sigma2, cfg.c)
-        report.add_bound("subgamma", env.inverse_conjugate(i_val), side="upper")
-    elif family == "subexponential":
-        _require(cfg, "sigma", "b")
-        sigma = _one(cfg, "sigma")
-        env = SubExponential(sigma, cfg.b)
-        report.add_bound("subexponential", env.inverse_conjugate(i_val), side="upper")
-        report.add_bound("subexponential_piecewise",
-                         subexponential_piecewise_bound(sigma, cfg.b, i_val),
-                         side="printed_form")
-    elif family == "tabulated":
-        _require(cfg, "envelope")
-        env = Tabulated.from_csv(cfg.envelope)
-        report.add_bound("mgf_tabulated", env.inverse_conjugate(i_val), side="upper")
+    for name, (value, side) in build(cfg, report, p_t).items():
+        report.add_bound(name, value, side)
     return report
 
 
@@ -271,7 +278,7 @@ def cmd_estimate(cfg: RunConfig) -> None:
 
 def cmd_norms(cfg: RunConfig) -> None:
     _require(cfg, "data", "psi")
-    psi = _parse_spec(cfg.psi, _PSIS, "psi", wrap_errors=True)
+    psi = _parse_spec(cfg.psi, _PSIS, "psi")
     table = Table(cfg.data)
     if len(table.header) > 2:
         raise ConfigError(f"{cfg.data}: line 1: expected columns value or value,weight")
@@ -337,7 +344,8 @@ class RunConfig:
     seed: Optional[int] = _option(_INT, _ALL, default=0)
     out: Optional[str] = _option(_STR, _ALL, help="output path (default: stdout)")
     format: Optional[str] = _option(_STR, _ALL, choices=["json", "csv"])
-    family: Optional[str] = _option(_STR, ("bound",), choices=list(_FAMILIES))
+    family: Optional[str] = _option(_STR, ("bound",),
+                                   choices=[f for f, uniform in _FAMILIES if not uniform])
     sigma: Optional[List[float]] = _option(_FLOATS, _TAIL,
                                            help="sigma value or comma-separated list")
     sigma2: Optional[float] = _option(_FLOAT, ("bound",))
@@ -372,12 +380,8 @@ class RunConfig:
 
     def to_text(self) -> str:
         """Serialize the non-empty options as ``key = value`` lines."""
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is not None:
-                lines.append(f"{f.name} = {f.metadata['kind'][1](v)}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(f"{f.name} = {f.metadata['kind'][1](getattr(self, f.name))}"
+                         for f in fields(self) if getattr(self, f.name) is not None) + "\n"
 
     @classmethod
     def from_text(cls, text: str, source: str = "<config>") -> "RunConfig":
@@ -389,9 +393,7 @@ class RunConfig:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{source}: line {i}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
             if key not in kinds:
                 raise ConfigError(f"{source}: line {i}: unknown key {key!r}")
             try:
@@ -452,12 +454,9 @@ def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
         _COMMANDS[ns.command][1](_resolve(ns))
-    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError, orz.NumericDivergence) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except orz.NumericDivergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, orz.NumericDivergence) else 2
     return 0
 
 

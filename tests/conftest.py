@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from biasbound import _solve, cgf, orlicz
+
+# property tests draw the same examples on every run, so a run is reproducible;
+# each test's own max_examples still applies
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

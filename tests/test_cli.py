@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -15,8 +16,8 @@ from biasbound import (DiscreteJoint, ExponentialIID, FixedIndex, GaussianIID,
                        ArgMax, HeavyTailIID, SoftMax, TopKUniform, gaussian_bound,
                        run_experiment, save_probability_vector)
 from biasbound._csv import Table
-from biasbound.cli import (ConfigError, RunConfig, _build_model, _build_parser,
-                           _parse_rule, main)
+from biasbound.cli import (_FAMILIES, _MODELS, _PSIS, _RULES, ConfigError, RunConfig,
+                           _build_model, _build_parser, _parse_rule, main)
 
 
 def run_cli(capsys, argv):
@@ -303,7 +304,7 @@ def test_bound_missing_options_exit_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["bound", "--family", "gaussian", "--sigma", "1",
                                       "--I", "1", "--i-alpha", "0.7"])
     assert (code, out) == (2, "")
-    assert err == "error: option 'i_alpha' is read only by the pnorm family\n"
+    assert err == "error: option 'i_alpha' is not read by the gaussian family\n"
     # the uniform cap holds over every joint, so a dependence it would drop
     # is refused, and the --joint file is never opened
     uniform = ["bound", "--family", "pnorm", "--beta", "2", "--sigma", "1", "--uniform",
@@ -313,6 +314,51 @@ def test_bound_missing_options_exit_2(tmp_path, capsys):
         code, out, err = run_cli(capsys, uniform + extra)
         assert (code, out) == (2, "")
         assert err == f"error: option '{name}' is not read by the uniform pnorm bound\n"
+
+
+_GAUSSIAN = ["--family", "gaussian", "--sigma", "1", "--I", "1"]
+_SUBGAMMA = ["--family", "subgamma", "--sigma2", "1", "--c", "0.5", "--I", "1"]
+_SUBEXPONENTIAL = ["--family", "subexponential", "--sigma", "1", "--b", "2", "--I", "1"]
+_TABULATED = ["--family", "tabulated", "--envelope", "{missing}", "--I", "1"]
+_PNORM = ["--family", "pnorm", "--beta", "2", "--sigma", "1", "--i-alpha", "1"]
+_UNIFORM = ["--family", "pnorm", "--beta", "2", "--sigma", "1", "--uniform", "--n", "5"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_SUBGAMMA + ["--p-t", "{missing}"], "option 'p_t' is not read by the subgamma family"),
+    (_SUBEXPONENTIAL + ["--p-t", "{missing}"],
+     "option 'p_t' is not read by the subexponential family"),
+    (_TABULATED + ["--p-t", "{missing}"], "option 'p_t' is not read by the tabulated family"),
+    (_GAUSSIAN + ["--uniform", "--n", "5"], "option 'uniform' is not read by the gaussian family"),
+    (_PNORM + ["--n", "5"], "option 'n' is not read by the pnorm family"),
+    # a zero is set: only None, and False for --uniform, are not
+    (_PNORM + ["--I", "0"], "option 'info' is not read by the pnorm family"),
+    (_GAUSSIAN + ["--i-alpha", "0.7"], "option 'i_alpha' is not read by the gaussian family"),
+    (_SUBGAMMA + ["--i-alpha", "0.7"], "option 'i_alpha' is not read by the subgamma family"),
+    (_SUBEXPONENTIAL + ["--i-alpha", "0.7"],
+     "option 'i_alpha' is not read by the subexponential family"),
+    (_TABULATED + ["--i-alpha", "0.7"], "option 'i_alpha' is not read by the tabulated family"),
+    (_UNIFORM + ["--joint", "{missing}"], "option 'joint' is not read by the uniform pnorm bound"),
+])
+def test_bound_refuses_an_input_its_row_does_not_read(tmp_path, capsys, argv, message):
+    # every named file is missing: had one been opened, the run would exit 2
+    # with "No such file" instead of the refusal
+    missing = str(tmp_path / "missing.csv")
+    code, out, err = run_cli(capsys, ["bound"] + [a.replace("{missing}", missing) for a in argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_bound_accepts_what_the_refusal_rule_leaves_alone(tmp_path, capsys):
+    # like simulate with another model's parameters: only the six dependence,
+    # marginal and uniform-cap inputs are refused
+    got = run_json(capsys, ["bound"] + _GAUSSIAN + [
+        "--beta", "3", "--envelope", str(tmp_path / "missing.csv")])
+    assert bound_map(got)["gaussian"]["value"] == pytest.approx(math.sqrt(2.0))
+    # a config file's uniform = false is the flag left off
+    p = tmp_path / "run.cfg"
+    p.write_text("family = gaussian\nsigma = 1\ninfo = 1\nuniform = false\n")
+    got = run_json(capsys, ["bound", "--config", str(p)])
+    assert bound_map(got)["gaussian"]["value"] == pytest.approx(math.sqrt(2.0))
 
 
 def test_bad_config_file_exit_2(tmp_path, capsys):
@@ -590,6 +636,8 @@ def test_simulate_invalid_rule_exit_2(capsys):
     assert "unknown rule" in err
     code, _, err = run_cli(capsys, ["simulate", "--rule", "fixed:99", "--n", "4"])
     assert code == 2
+    code, out, err = run_cli(capsys, ["simulate", "--rule", "topk:0"])
+    assert (code, out, err) == (2, "", "error: invalid rule 'topk:0': k must be >= 1\n")
 
 
 def test_model_sigma_list_exit_2(capsys):
@@ -599,6 +647,11 @@ def test_model_sigma_list_exit_2(capsys):
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, "")
         assert err == "error: option 'sigma' takes one value here, got 2\n"
+    # an empty list is not replaced by the model's default
+    code, out, err = run_cli(capsys, ["simulate", "--model", "gaussian", "--sigma=",
+                                      "--trials", "10"])
+    assert (code, out) == (2, "")
+    assert err == "error: option 'sigma' takes one value here, got 0\n"
 
 
 # ---------------------------------------------------------------- sweep
@@ -750,6 +803,29 @@ def test_norms_bad_inputs_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["norms", "--data", str(path), "--psi", "power:2"])
     assert code == 2
     assert "line 1: expected columns value or value,weight" in err
+
+
+# ---------------------------------------------------------------- fingerprint corpus
+
+
+def test_corpus_covers_every_cli_table():
+    # a --family row, model, rule or psi without a corpus line would be left
+    # out of the byte-identical check that a refactor of the CLI is held to
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "cli_corpus.py")
+    spec = importlib.util.spec_from_file_location("cli_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    runs = [argv for _, argv in corpus.CORPUS]
+
+    def values(argv, flag):
+        return [argv[i + 1] for i, a in enumerate(argv[:-1]) if a == flag]
+
+    for family, uniform in _FAMILIES:
+        assert any(family in values(argv, "--family") and ("--uniform" in argv) == uniform
+                   for argv in runs), (family, uniform)
+    for flag, table in (("--model", _MODELS), ("--rule", _RULES), ("--psi", _PSIS)):
+        named = {v.partition(":")[0] for argv in runs for v in values(argv, flag)}
+        assert set(table) <= named, (flag, set(table) - named)
 
 
 # ---------------------------------------------------------------- import cost

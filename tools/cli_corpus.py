@@ -170,6 +170,13 @@ CORPUS = [
                                             "--sigma", "1", "--uniform", "--n", "5",
                                             "--I", "1", "--i-alpha", "0.7",
                                             "--joint", "{tmp}/missing.csv"]),
+    # an input the family does not read is refused before any file is opened
+    ("bound-err-p-t-subgamma", ["bound", "--family", "subgamma", "--sigma2", "1",
+                                "--c", "0.5", "--I", "1", "--p-t", "{tmp}/pt.csv"]),
+    ("bound-err-uniform-gaussian", ["bound", "--family", "gaussian", "--sigma", "1",
+                                    "--I", "1", "--uniform", "--n", "4"]),
+    ("bound-err-info-pnorm", ["bound", "--family", "pnorm", "--beta", "2", "--sigma", "1",
+                              "--i-alpha", "1", "--I", "5"]),
 ]
 
 for model in ("gaussian", "exponential", "heavytail"):
@@ -236,6 +243,8 @@ CORPUS += [
     ("simulate-err-model-param", ["simulate", "--model", "heavytail", "--beta", "0.9"]),
     ("simulate-err-config-bins", ["simulate", "--config", "{tmp}/bins.cfg"]),
     ("simulate-err-sigma-list", ["simulate", "--model", "gaussian", "--sigma", "1,50"]),
+    ("simulate-err-empty-sigma", ["simulate", "--model", "gaussian", "--sigma=",
+                                  "--trials", "10"]),
     # 1/rate^2 is not a positive finite double
     ("simulate-err-exponential-rate-tiny", SIM + ["--model", "exponential",
                                                   "--rate", "1e-200"]),
