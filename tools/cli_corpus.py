@@ -40,6 +40,7 @@ FILES = {
     "weighted.csv": "value,weight\n1.0,0.25\n2.0,0.75\n",
     "data_1e30.csv": "value\n1e30\n2.5e30\n5e29\n3e30\n",
     "tiny_weight.csv": f"value,weight\n1.0,{1 - 1e-300!r}\n1e200,1e-300\n",
+    "tiny_weight_exp.csv": "value,weight\n0.000001,1\n1.0,1e-315\n",
     "divergent.csv": "value\ninf\n1.0\n",
     "nan.csv": "value\nnan\n1.0\n",
     "bad_data.csv": "value\n1.0\nnot-a-number\n",
@@ -277,6 +278,12 @@ CORPUS += [
     ("norms-exp", ["norms", "--data", "{tmp}/data.csv", "--psi", "exp"]),
     ("norms-power-1e30", ["norms", "--data", "{tmp}/data_1e30.csv", "--psi", "power:2"]),
     ("norms-tiny-weight", ["norms", "--data", "{tmp}/tiny_weight.csv", "--psi", "power:2"]),
+    # power:1 has no closed form: the numeric Luxemburg and Amemiya searches
+    ("norms-power-one", ["norms", "--data", "{tmp}/data.csv", "--psi", "power:1"]),
+    ("norms-exp-weighted", ["norms", "--data", "{tmp}/weighted.csv", "--psi", "exp"]),
+    # a weight below 1e-300: exp leaves Newton for its fallback
+    ("norms-exp-tiny-weight", ["norms", "--data", "{tmp}/tiny_weight_exp.csv",
+                               "--psi", "exp"]),
     # a value of zero weight adds nothing, even an infinite one
     ("norms-zero-weight-inf", ["norms", "--data", "{tmp}/zero_weight_inf.csv",
                                "--psi", "power:2"]),
