@@ -349,15 +349,17 @@ class MixedEnvelope(CgfEnvelope):
         # finite at lam == domain_sup only if every term is
         self._boundary_finite = math.isfinite(sup) and all(
             math.isfinite(psi(sup)) for _, psi in self._terms)
-        # (weight, _derivatives) per term for Newton; None: numeric searches
-        self._derivative_terms = None
+        # conjugate solves, bound once: the collapsed member's closed forms,
+        # Newton on the three families above, else CgfEnvelope's searches
         collapsed = self._collapse(active)
-        if collapsed is not None:  # its closed forms are the mixture's
+        if collapsed is not None:
             self._conjugate = collapsed._conjugate
             self._inverse_conjugate = collapsed._inverse_conjugate
         elif all(isinstance(e, (SubGaussian, SubExponential, SubGamma))
                  for _, e in active):
             self._derivative_terms = tuple((w, env._derivatives) for w, env in active)
+            self._conjugate = self._conjugate_newton
+            self._inverse_conjugate = self._inverse_conjugate_newton
 
     @property
     def domain_sup(self) -> float:
@@ -384,9 +386,7 @@ class MixedEnvelope(CgfEnvelope):
     # mixture's, where the first Newton step moves right.  A mixture that
     # does not collapse has a capped term, so domain_sup is finite.
 
-    def _inverse_conjugate(self, info: float) -> float:
-        if self._derivative_terms is None:
-            return self._inverse_conjugate_numeric(info)
+    def _inverse_conjugate_newton(self, info: float) -> float:
         if not info < math.inf:  # +inf or NaN
             return info
 
@@ -402,9 +402,7 @@ class MixedEnvelope(CgfEnvelope):
                                   lam)
         return (self._psi(lam) + info) / lam
 
-    def _conjugate(self, x: float) -> float:
-        if self._derivative_terms is None:
-            return self._conjugate_numeric(x)
+    def _conjugate_newton(self, x: float) -> float:
         if not x < math.inf:  # +inf or NaN
             return x
 

@@ -473,6 +473,20 @@ def test_builtin_psi_pass_validation(psi):
         psi.conjugate_function()._validate()
 
 
+def test_conjugate_twice_is_psi_for_a_user_psi():
+    # psi* carries psi's own fn as its closed conjugate, so psi** is psi
+    # exactly, not a numeric Legendre transform of a numeric one
+    psi = OrliczFunction(lambda u: u ** 3 + u ** 2, name="cubic")
+    conj = psi.conjugate_function()
+    twice = conj.conjugate_function()
+    grid = np.array([0.0, 1e-300, 0.5, 2.0, 700.0])
+    assert twice.name == "cubic**"
+    assert np.array_equal(twice(grid), psi(grid))
+    assert np.array_equal(twice.conjugate_function()(grid), conj(grid))
+    assert np.array_equal(power_orlicz(1.0).conjugate_function().conjugate_function()(grid),
+                          grid)
+
+
 # --- exp and its conjugate by Newton -----------------------------------------
 
 def exp_family():
