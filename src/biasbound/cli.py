@@ -40,10 +40,11 @@ def _parse_float(s: str) -> float:
 
 
 def _parse_list(item, what: str):
-    """Parser of a comma-separated list of ``item`` values, ``what`` in its error."""
+    """Parser of a comma-separated list of ``item`` values, ``what`` in its error.
+    A blank value is the empty list; an empty item in any other is refused."""
     def parse(s: str) -> list:
         try:
-            return [item(x) for x in str(s).split(",") if x.strip() != ""]
+            return [item(x) for x in str(s).split(",")] if str(s).strip() else []
         except ValueError:
             raise ValueError(f"expected comma-separated {what}, got {s!r}") from None
     return parse

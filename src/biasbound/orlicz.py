@@ -357,6 +357,13 @@ class _Exp(_Newton):
         """1 + log1p(y): there (x - 1) e**x + 1 >= log1p(y) e (1 + y) >= y."""
         return 1.0 + np.log1p(y)
 
+    def _weighted_sum(self, x, w) -> float:
+        # the searches serve weights below 1e-300, where w (e**x - 1) can be
+        # finite past x = 709.78, at which e**x - 1 overflows: take it in logs
+        with np.errstate(over="ignore"):
+            psi = np.expm1(x)
+            return float(np.sum(np.where(psi < math.inf, w * psi, np.exp(x + np.log(w)) - w)))
+
 
 class _ExpConjugate(_Newton):
     """psi*(v) = v ln v - v + 1 for v >= 1, else 0; its conjugate is _Exp."""

@@ -83,6 +83,13 @@ _TILE = 8192  # doubles per tile (64 KiB); a tile has max(1, _TILE // W) trials
 # ---------------------------------------------------------------------------
 # measurement models
 
+def _finite(model, *names: str) -> None:
+    """ValueError naming the first parameter in ``names`` that is not finite."""
+    for name in names:
+        if not math.isfinite(getattr(model, name)):
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class GaussianIID:
     """n i.i.d. Gaussian coordinates."""
@@ -94,6 +101,7 @@ class GaussianIID:
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
+        _finite(self, "mu", "sigma")
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
@@ -193,6 +201,7 @@ class HeavyTailIID:
             raise ValueError("c must be > 1")
         if not self.x0 > math.exp(1.0 / self.beta):
             raise ValueError("x0 must exceed e**(1/beta)")
+        _finite(self, "beta", "c", "x0")
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
@@ -394,8 +403,13 @@ class SoftMax:
         return None  # estimated from conditional_probs
 
     def conditional_probs(self, v) -> np.ndarray:
-        z = np.asarray(v, dtype=float) / self.temperature
-        z = z - z.max(axis=-1, keepdims=True)
+        with np.errstate(over="ignore"):
+            z = np.asarray(v, dtype=float) / self.temperature
+        top = z.max(axis=-1, keepdims=True)
+        if not np.isfinite(top).all():  # exp(z - top) would be NaN
+            raise ValueError(f"softmax at temperature {self.temperature!r}: "
+                             "value / temperature overflows")
+        z = z - top
         p = np.exp(z)
         return p / p.sum(axis=-1, keepdims=True)
 

@@ -417,6 +417,26 @@ def test_nan_option_exit_2(tmp_path, capsys):
     assert got["meta"]["alpha"] == 1.0
 
 
+def test_list_options_refuse_an_empty_item(tmp_path, capsys):
+    # a doubled, trailing or leading comma is refused, not dropped, from a
+    # flag and from a config file; a blank value stays the empty list
+    cases = (("bound", "--sigma", "sigma", "1,,2", "floats", "family = gaussian\ninfo = 1\n"),
+             ("simulate", "--alphas", "alphas", "1.5,", "floats", "trials = 10\n"),
+             ("sweep", "--n-list", "n_list", ",10", "integers", "trials = 10\n"))
+    for command, flag, key, value, what, rest in cases:
+        with pytest.raises(SystemExit) as exc:  # the argument parser's exit
+            main([command, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid list of" in capsys.readouterr().err
+        p = tmp_path / "run.cfg"
+        p.write_text(f"{key} = {value}\n{rest}")
+        code, out, err = run_cli(capsys, [command, "--config", str(p)])
+        assert (code, out) == (2, "")
+        assert err == (f"error: {p}: line 1: invalid value for {key!r}: "
+                       f"expected comma-separated {what}, got {value!r}\n")
+        assert getattr(RunConfig.from_text(f"{key} = \n"), key) == []
+
+
 def rejects(convert, text):
     try:
         convert(text)

@@ -551,3 +551,22 @@ def test_exp_family_norms_match_mpmath():
             ame = (1 + mean(lambda v: psi(t * v))) / t
             for got, want in ((luxemburg_norm(x, closed), lux), (amemiya_norm(x, closed), ame)):
                 assert abs(got - want) <= 4 * np.spacing(float(want)), (family, got, want)
+
+
+def test_exp_fallback_norms_match_mpmath():
+    # a weight below 1e-300 takes the searches, where e**x - 1 overflows past
+    # x = 709.78 but the weighted term does not (both norms came out 1-2%
+    # high).  60-digit roots at the exact double inputs: 1e-315 is subnormal,
+    # 9.9999999848e-316 as a double, which moves the norms by 2e-12
+    x, w = [1e-6, 1.0], [1.0, 1e-315]
+    with mpmath.workdps(60):
+        xs, ws = [mpmath.mpf(v) for v in x], [mpmath.mpf(v) for v in w]
+        mean = lambda g: sum(wi * g(xi) for xi, wi in zip(xs, ws))  # noqa: E731
+        r = mpmath.findroot(lambda r: mpmath.log(mean(lambda v: mpmath.expm1(r * v))),
+                            (700, 760), solver="anderson")
+        t = mpmath.findroot(lambda t: mpmath.log(mean(
+            lambda v: (t * v - 1) * mpmath.exp(t * v) + 1)), (700, 760), solver="anderson")
+        lux, ame = 1 / r, (1 + mean(lambda v: mpmath.expm1(t * v))) / t
+    for norm, want in ((luxemburg_norm, lux), (amemiya_norm, ame)):
+        got = norm(x, exp_orlicz(), w)
+        assert abs(got - want) <= 1e-12 * want, (norm.__name__, got, want)

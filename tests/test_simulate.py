@@ -77,6 +77,18 @@ def test_model_validation():
         ExponentialIID(n=0)
 
 
+def test_model_parameters_must_be_finite():
+    # an infinite parameter gave null bias and bounds, or a math domain error;
+    # a parameter with a range check (sigma > 0, ...) meets that one first
+    for model, name in ((GaussianIID, "mu"), (GaussianIID, "sigma"), (HeavyTailIID, "beta"),
+                        (HeavyTailIID, "c"), (HeavyTailIID, "x0")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            model(**{name: math.inf})
+    for mu in (-math.inf, math.nan):
+        with pytest.raises(ValueError, match="^mu must be finite$"):
+            GaussianIID(mu=mu)
+
+
 def test_heavy_tail_cdf_quantile_inverse_pair():
     model = HeavyTailIID(beta=3.0, c=2.0, x0=math.e, n=5)
     us = np.array([0.0, 0.1, 0.5, 0.9, 0.999, 1 - 1e-9])
@@ -478,6 +490,18 @@ def test_run_experiment_errors():
         FixedIndex(-1)
     with pytest.raises(ValueError, match="workers must be >= 1"):
         run_experiment(model, ArgMax(), trials=10, seed=1, workers=0)
+
+
+def test_softmax_refuses_a_temperature_where_values_overflow():
+    # v / 1e-320 overflows: every trial chose index 0 with I reported as 0
+    # and I_alpha as NaN; an infinite temperature stays a uniform choice
+    with pytest.raises(ValueError, match=r"softmax at temperature 1e-320: value / temperature"):
+        run_experiment(GaussianIID(n=4), SoftMax(1e-320), trials=10, seed=1)
+    with pytest.raises(ValueError, match="value / temperature overflows"):
+        SoftMax(1e-300).conditional_probs(np.array([[1.0, 2.0], [1e10, -1e10]]))
+    q = SoftMax(math.inf).conditional_probs(np.array([[1.0, 2.0, 3.0]]))
+    assert q.tolist() == [[1 / 3, 1 / 3, 1 / 3]]
+    assert run_experiment(GaussianIID(n=4), SoftMax(math.inf), trials=10, seed=1).i == 0.0
 
 
 def test_tie_breaking_lowest_index():

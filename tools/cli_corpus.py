@@ -61,6 +61,7 @@ FILES = {
     "weights_sum.csv": "value,weight\n1.0,0.5\n2.0,0.6\n",
     "bogus_family.cfg": "family = bogus\nsigma = 1.0\ninfo = 0.5\n",
     "bad_bool.cfg": "family = pnorm\nbeta = 2\nsigma = 1\nn = 5\nuniform = maybe\n",
+    "empty_item.cfg": "family = gaussian\nsigma = 1,,2\ninfo = 1\n",
 }
 
 SIM = ["simulate", "--n", "6", "--trials", "400", "--seed", "3"]
@@ -159,6 +160,8 @@ CORPUS = [
     ("bound-err-config-family", ["bound", "--config", "{tmp}/bogus_family.cfg"]),
     ("bound-err-config-bool", ["bound", "--config", "{tmp}/bad_bool.cfg"]),
     ("bound-err-nan-config", ["bound", "--config", "{tmp}/nan.cfg"]),
+    # a doubled comma is refused, not dropped (a flag's is an argument-parser error)
+    ("bound-err-config-empty-item", ["bound", "--config", "{tmp}/empty_item.cfg"]),
     ("bound-err-subgamma-c", ["bound", "--family", "subgamma", "--sigma2", "1", "--c", "-1",
                               "--I", "1"]),
     ("bound-err-subexponential-b", ["bound", "--family", "subexponential", "--sigma", "1",
@@ -242,6 +245,15 @@ CORPUS += [
     ("simulate-err-topk-zero", ["simulate", "--rule", "topk:0"]),
     ("simulate-err-workers-zero", ["simulate", "--workers", "0"]),
     ("simulate-err-model-param", ["simulate", "--model", "heavytail", "--beta", "0.9"]),
+    # a model parameter must be finite
+    ("simulate-err-gaussian-mu-inf", SIM + ["--model", "gaussian", "--mu", "inf"]),
+    ("simulate-err-gaussian-sigma-inf", SIM + ["--model", "gaussian", "--sigma", "inf"]),
+    ("simulate-err-heavytail-beta-inf", SIM + ["--model", "heavytail", "--beta", "inf"]),
+    ("simulate-err-heavytail-c-inf", SIM + ["--model", "heavytail", "--c", "inf"]),
+    ("simulate-err-heavytail-x0-inf", SIM + ["--model", "heavytail", "--x0", "inf"]),
+    # value / temperature overflows; an infinite temperature is a uniform choice
+    ("simulate-err-softmax-overflow", SIM + ["--rule", "softmax:1e-320"]),
+    ("simulate-softmax-inf", SIM + ["--rule", "softmax:inf"]),
     ("simulate-err-config-bins", ["simulate", "--config", "{tmp}/bins.cfg"]),
     ("simulate-err-sigma-list", ["simulate", "--model", "gaussian", "--sigma", "1,50"]),
     ("simulate-err-empty-sigma", ["simulate", "--model", "gaussian", "--sigma=",
