@@ -554,9 +554,9 @@ def test_exp_family_norms_match_mpmath():
 
 
 def test_exp_fallback_norms_match_mpmath():
-    # a weight below 1e-300 takes the searches, where e**x - 1 overflows past
-    # x = 709.78 but the weighted term does not (both norms came out 1-2%
-    # high).  60-digit roots at the exact double inputs: 1e-315 is subnormal,
+    # a weight below 1e-300 takes the searches, and here the root lies past
+    # x = 709.78, where e**x - 1 overflows but the weighted term does not.
+    # 60-digit roots at the exact double inputs: 1e-315 is subnormal,
     # 9.9999999848e-316 as a double, which moves the norms by 2e-12
     x, w = [1e-6, 1.0], [1.0, 1e-315]
     with mpmath.workdps(60):

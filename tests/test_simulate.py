@@ -78,8 +78,8 @@ def test_model_validation():
 
 
 def test_model_parameters_must_be_finite():
-    # an infinite parameter gave null bias and bounds, or a math domain error;
-    # a parameter with a range check (sigma > 0, ...) meets that one first
+    # an infinite parameter would give null bias and bounds, or a math domain
+    # error; a parameter with a range check (sigma > 0, ...) meets that first
     for model, name in ((GaussianIID, "mu"), (GaussianIID, "sigma"), (HeavyTailIID, "beta"),
                         (HeavyTailIID, "c"), (HeavyTailIID, "x0")):
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
@@ -493,8 +493,8 @@ def test_run_experiment_errors():
 
 
 def test_softmax_refuses_a_temperature_where_values_overflow():
-    # v / 1e-320 overflows: every trial chose index 0 with I reported as 0
-    # and I_alpha as NaN; an infinite temperature stays a uniform choice
+    # v / 1e-320 overflows, where every trial would choose index 0 with I
+    # reported as 0 and I_alpha as NaN; an infinite temperature is uniform
     with pytest.raises(ValueError, match=r"softmax at temperature 1e-320: value / temperature"):
         run_experiment(GaussianIID(n=4), SoftMax(1e-320), trials=10, seed=1)
     with pytest.raises(ValueError, match="value / temperature overflows"):
